@@ -10,24 +10,25 @@
 //!   transition in `fleet-kernel`, `fleet-heap`, `fleet-gc` and the device
 //!   layer (page map/unmap, fault, swap-out, LRU promotion, region and
 //!   object lifecycle, GC phases, launches, kills),
-//! * [`EventLog`] — the per-component buffer the mechanism crates emit
-//!   into; every call site is compiled out unless the `audit` feature of
-//!   the emitting crate is on, so the disabled recorder costs nothing,
 //! * [`Recorder`] — canonical serialization + streaming FNV-1a hash of the
 //!   whole event stream, with periodic checkpoints and a ring buffer of
 //!   the most recent events (the "flight recorder"),
-//! * [`Auditor`] — shadow state rebuilt purely from events, checking seven
+//! * [`Auditor`] — shadow state rebuilt purely from events, checking eight
 //!   invariant families *online*: page conservation, LRU/residency
 //!   membership, GC soundness, launch accounting, fault/degradation
-//!   consistency, swap-tier slot conservation, and proactive-reclaim
+//!   consistency, swap-tier slot conservation, proactive-reclaim
 //!   discipline (the Swam daemon only touches background, unpinned,
-//!   anonymous pages and conserves frames),
+//!   anonymous pages and conserves frames), and swap data integrity,
 //! * [`AuditPipeline`] — recorder + auditor behind one `feed` call;
 //!   violations panic with the last events as context.
 //!
-//! The crate deliberately depends on nothing and speaks only primitive
-//! types (`u32` pids and region ids, `u64` page indexes and sizes), so
-//! every mechanism crate can emit events without dependency cycles.
+//! Mechanism crates buffer events in a `fleet_obs::Log<AuditEvent>` (the
+//! same log type that carries obs records); every emission site is compiled
+//! out unless the emitting crate's `audit` feature is on, so the disabled
+//! recorder costs nothing. The crate deliberately depends on nothing and
+//! speaks only primitive types (`u32` pids and region ids, `u64` page
+//! indexes and sizes), so every mechanism crate can emit events without
+//! dependency cycles.
 //!
 //! # Examples
 //!
@@ -45,12 +46,10 @@
 
 mod auditor;
 mod event;
-mod log;
 mod recorder;
 
 pub use auditor::Auditor;
 pub use event::AuditEvent;
-pub use log::EventLog;
 pub use recorder::{Recorder, CHECKPOINT_INTERVAL, RING_CAPACITY};
 
 /// Recorder + auditor behind a single `feed` call.

@@ -142,44 +142,26 @@ fn run_traced(
     use std::time::Instant;
     let mut reports = Vec::new();
     for exp in selected {
-        let pipeline = fleet::obs::shared_pipeline();
-        #[cfg(feature = "audit")]
-        let audit_pipeline = fleet::audit::shared_pipeline();
+        let pipelines = fleet::probe::Pipelines::default();
         let start = Instant::now();
-        let result = {
-            let _obs = fleet::obs::install(pipeline.clone());
-            #[cfg(feature = "audit")]
-            let _audit = fleet::audit::install(audit_pipeline.clone());
+        let result = pipelines.record(|| {
             let ctx = harness::ExperimentCtx {
                 seed: harness::derive_seed(opts.seed, exp.id()),
                 quick: opts.quick,
                 drilldown: opts.drilldown.as_ref().map(|d| d.join(exp.id())),
             };
             exp.run(&ctx)
-        };
+        });
         let elapsed = start.elapsed();
         eprintln!("done {:<18} ({:.1}s, traced)", exp.id(), elapsed.as_secs_f64());
         let result = result.and_then(|output| {
-            let p = pipeline.lock().expect("obs pipeline poisoned");
-            let trace = p.trace_json();
-            let metrics = p.metrics_json();
-            drop(p);
-            let summary = fleet::obs::validate_chrome_trace(&trace).map_err(|e| {
-                fleet::FleetError::InvalidConfig(format!("{}: invalid trace: {e}", exp.id()))
-            })?;
-            let trace_path = dir.join(format!("{}.trace.json", exp.id()));
-            let metrics_path = dir.join(format!("{}.metrics.json", exp.id()));
-            std::fs::write(&trace_path, &trace)
-                .and_then(|()| std::fs::write(&metrics_path, &metrics))
-                .map_err(|e| {
-                    fleet::FleetError::InvalidConfig(format!("{}: write failed: {e}", exp.id()))
-                })?;
+            let summary = pipelines.write_obs(dir, exp.id())?;
             println!(
                 "[traced {} — {} spans on {} tracks, {}]",
                 exp.id(),
                 summary.spans,
                 summary.tracks,
-                trace_path.display()
+                dir.join(format!("{}.trace.json", exp.id())).display()
             );
             Ok(output)
         });

@@ -448,7 +448,7 @@ fn run_obs_overhead(quick: bool) -> ObsOverhead {
     let traced = || {
         // A fresh pipeline per round: steady-state recording cost, not the
         // cost of appending to an ever-growing span vector.
-        let _guard = fleet::obs::install(fleet::obs::shared_pipeline());
+        let _guard = fleet::probe::install(fleet::probe::shared::<fleet::probe::ObsPipeline>());
         exp.run(&ctx).expect("fig2 runs");
     };
     plain();

@@ -152,7 +152,7 @@ fn dashboard(agg: &PopulationAggregate) -> Table {
 /// `repro population --trace DIR` lands it in `population.metrics.json`.
 #[cfg(feature = "obs")]
 fn publish_obs(agg: &PopulationAggregate) {
-    let Some(pipeline) = crate::obs::current() else { return };
+    let Some(pipeline) = crate::probe::current::<fleet_obs::ObsPipeline>() else { return };
     let mut p = pipeline.lock().expect("obs pipeline lock");
     p.counter_add("population.device_days", agg.devices);
     p.counter_add("population.launches", agg.launches);

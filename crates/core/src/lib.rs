@@ -31,16 +31,13 @@
 
 #![warn(missing_docs)]
 
-#[cfg(feature = "audit")]
-pub mod audit;
 pub mod config;
 pub mod device;
 pub mod error;
 pub mod experiment;
-#[cfg(feature = "obs")]
-pub mod obs;
 pub mod params;
 pub mod population;
+pub mod probe;
 pub mod process;
 pub mod telemetry;
 pub mod timeline;
@@ -88,5 +85,6 @@ pub mod prelude {
         SloReport, SloSpec, SloVerdict,
     };
     pub use fleet_kernel::{KillPolicy, ReclaimPolicy, SwamParams};
-    pub use fleet_metrics::{Histogram, LogHistogram, Summary, Table};
+    pub use fleet_metrics::{Histogram, Summary, Table};
+    pub use fleet_obs::LogHistogram;
 }

@@ -36,7 +36,7 @@ use crate::params::SchemeKind;
 use crate::process::{LaunchKind, LaunchReport};
 use crate::telemetry::{CohortTelemetry, LaunchSpanSample, SloSpec, SloVerdict};
 use fleet_kernel::{FaultConfig, IntegrityConfig, KillPolicy, ReclaimPolicy};
-use fleet_metrics::LogHistogram;
+use fleet_obs::LogHistogram;
 use fleet_sim::SimRng;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -1016,14 +1016,8 @@ impl PopulationRun {
 pub fn run_population(spec: &PopulationSpec, threads: usize) -> Result<PopulationRun, FleetError> {
     spec.validate().map_err(FleetError::InvalidConfig)?;
     let start = Instant::now();
-    #[allow(unused_mut)]
     let mut threads = threads.clamp(1, spec.devices.max(1) as usize);
-    #[cfg(feature = "obs")]
-    if crate::obs::current().is_some() {
-        threads = 1;
-    }
-    #[cfg(feature = "audit")]
-    if crate::audit::current().is_some() {
+    if crate::probe::installed() {
         threads = 1;
     }
     let mut aggregate = if threads == 1 {

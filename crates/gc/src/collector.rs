@@ -157,95 +157,67 @@ impl GcStats {
     }
 }
 
-/// Emits a [`fleet_audit::AuditEvent::GcStart`] into the heap's flight-
-/// recorder log; compiled to a no-op without the `audit` feature.
+/// Emits a probe record, stamped with the owning pid, into the heap's
+/// `audit` (flight-recorder event) or `obs` (span) log. Each kind compiles
+/// to nothing without its feature, which is why the helpers below take
+/// `_`-prefixed parameters: a build without the feature never reads them.
+macro_rules! probe {
+    (audit, $heap:ident, |$pid:ident| $ev:expr) => {{
+        #[cfg(feature = "audit")]
+        $heap.probes_mut().audit.push(|$pid| $ev);
+    }};
+    (obs, $heap:ident, |$pid:ident| $rec:expr) => {{
+        #[cfg(feature = "obs")]
+        $heap.probes_mut().obs.push(|$pid| $rec);
+    }};
+}
+
+/// Emits a [`GcStart`](fleet_audit::AuditEvent::GcStart) event.
 ///
 /// `complete` declares the collection's soundness contract to the auditor:
 /// a complete collection (full, Marvin, non-incremental grouping) sweeps the
 /// whole heap, so everything unreachable at start must be gone at the end;
 /// a partial collection (minor, BGC, incremental grouping) only promises
 /// never to free a live object.
-#[cfg(feature = "audit")]
-pub(crate) fn audit_gc_start(heap: &mut Heap, kind: GcKind, complete: bool) {
-    heap.audit_log_mut().push(|pid| fleet_audit::AuditEvent::GcStart {
+pub(crate) fn audit_gc_start(_heap: &mut Heap, _kind: GcKind, _complete: bool) {
+    probe!(audit, _heap, |pid| fleet_audit::AuditEvent::GcStart {
         pid,
-        kind: kind.to_string(),
-        complete,
+        kind: _kind.to_string(),
+        complete: _complete,
     });
 }
 
-#[cfg(not(feature = "audit"))]
-pub(crate) fn audit_gc_start(_heap: &mut Heap, _kind: GcKind, _complete: bool) {}
-
-/// Emits a [`fleet_audit::AuditEvent::GcEnd`] carrying the collection's
-/// reported counters, which the auditor cross-checks against the object
-/// events observed inside the window.
-#[cfg(feature = "audit")]
-pub(crate) fn audit_gc_end(heap: &mut Heap, stats: &GcStats) {
-    let (kind, traced, copied, freed, freed_bytes) = (
-        stats.kind,
-        stats.objects_traced,
-        stats.bytes_copied,
-        stats.objects_freed,
-        stats.bytes_freed,
-    );
-    heap.audit_log_mut().push(move |pid| fleet_audit::AuditEvent::GcEnd {
+/// Emits a [`GcEnd`](fleet_audit::AuditEvent::GcEnd) event carrying the
+/// collection's reported counters, which the auditor cross-checks against
+/// the object events observed inside the window.
+pub(crate) fn audit_gc_end(_heap: &mut Heap, _stats: &GcStats) {
+    probe!(audit, _heap, |pid| fleet_audit::AuditEvent::GcEnd {
         pid,
-        kind: kind.to_string(),
-        objects_traced: traced,
-        bytes_copied: copied,
-        objects_freed: freed,
-        bytes_freed: freed_bytes,
+        kind: _stats.kind.to_string(),
+        objects_traced: _stats.objects_traced,
+        bytes_copied: _stats.bytes_copied,
+        objects_freed: _stats.objects_freed,
+        bytes_freed: _stats.bytes_freed,
     });
 }
 
-#[cfg(not(feature = "audit"))]
-pub(crate) fn audit_gc_end(_heap: &mut Heap, _stats: &GcStats) {}
-
-/// Emits a [`fleet_audit::AuditEvent::EvacAbort`] when a copying collector
-/// runs out of copy budget mid-evacuation: `region` is the from-region of
-/// the first object denied, `objects_left` the live objects left in place.
-#[cfg(feature = "audit")]
-pub(crate) fn audit_evac_abort(heap: &mut Heap, region: u32, objects_left: u64) {
-    heap.audit_log_mut().push(move |pid| fleet_audit::AuditEvent::EvacAbort {
+/// Emits an [`EvacAbort`](fleet_audit::AuditEvent::EvacAbort) event when a
+/// copying collector runs out of copy budget mid-evacuation: `region` is the
+/// from-region of the first object denied, `objects_left` the live objects
+/// left in place.
+pub(crate) fn audit_evac_abort(_heap: &mut Heap, _region: u32, _objects_left: u64) {
+    probe!(audit, _heap, |pid| fleet_audit::AuditEvent::EvacAbort {
         pid,
-        region,
-        objects_left,
+        region: _region,
+        objects_left: _objects_left,
     });
 }
 
-#[cfg(not(feature = "audit"))]
-pub(crate) fn audit_evac_abort(_heap: &mut Heap, _region: u32, _objects_left: u64) {}
-
-/// Pushes one GC phase span into the heap's obs log (see `crates/obs`):
-/// `"gc_mark"` / `"gc_copy"` at depth 1 (placed by the device layer under
-/// its per-collection root span), `"gc_evac_abort"` at depth 2 inside the
-/// copy phase. `rel_start` is the offset from the parent span's start;
-/// `args` is only evaluated if the log is actually recording. Compiled to
-/// a no-op without the `obs` feature.
-#[cfg(feature = "obs")]
-pub(crate) fn obs_gc_phase(
-    heap: &mut Heap,
-    name: &'static str,
-    depth: u8,
-    rel_start: SimDuration,
-    dur: SimDuration,
-    args: impl FnOnce() -> Vec<(&'static str, u64)>,
-) {
-    heap.obs_log_mut().push(move |pid| {
-        fleet_obs::ObsRecord::Span(fleet_obs::SpanRec {
-            pid,
-            name,
-            cat: "gc",
-            depth,
-            rel_start: rel_start.as_nanos(),
-            dur: dur.as_nanos(),
-            args: args(),
-        })
-    });
-}
-
-#[cfg(not(feature = "obs"))]
+/// Pushes one GC phase span into the heap's obs log: `"gc_mark"` /
+/// `"gc_copy"` at depth 1 (placed by the device layer under its
+/// per-collection root span), `"gc_evac_abort"` at depth 2 inside the copy
+/// phase. `rel_start` is the offset from the parent span's start; `args` is
+/// only evaluated if the log is actually recording.
 pub(crate) fn obs_gc_phase(
     _heap: &mut Heap,
     _name: &'static str,
@@ -254,6 +226,17 @@ pub(crate) fn obs_gc_phase(
     _dur: SimDuration,
     _args: impl FnOnce() -> Vec<(&'static str, u64)>,
 ) {
+    probe!(obs, _heap, |pid| {
+        fleet_obs::ObsRecord::Span(fleet_obs::SpanRec {
+            pid,
+            name: _name,
+            cat: "gc",
+            depth: _depth,
+            rel_start: _rel_start.as_nanos(),
+            dur: _dur.as_nanos(),
+            args: _args(),
+        })
+    });
 }
 
 /// A garbage collector over the modelled heap.

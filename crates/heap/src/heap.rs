@@ -20,18 +20,31 @@ use crate::region::{Region, RegionId, RegionKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Emits a flight-recorder event stamped with the owning process id;
-/// compiled to nothing without the `audit` feature.
+/// Emits a probe record stamped with the owning process id into the heap's
+/// `audit` (flight-recorder event) or `obs` (span/metric) log. Each kind
+/// compiles to nothing without its feature.
+macro_rules! probe {
+    (audit, $self:ident, |$pid:ident| $ev:expr) => {{
+        #[cfg(feature = "audit")]
+        $self.probes.audit.push(|$pid| $ev);
+    }};
+    (obs, $self:ident, |$pid:ident| $rec:expr) => {{
+        #[cfg(feature = "obs")]
+        $self.probes.obs.push(|$pid| $rec);
+    }};
+}
+
 #[cfg(feature = "audit")]
-macro_rules! audit {
-    ($self:ident, |$pid:ident| $ev:expr) => {
-        $self.audit.push(|$pid| $ev)
-    };
-}
-#[cfg(not(feature = "audit"))]
-macro_rules! audit {
-    ($($t:tt)*) => {};
-}
+use fleet_audit::AuditEvent;
+/// An obs-only build's audit log carries nothing.
+#[cfg(all(feature = "obs", not(feature = "audit")))]
+type AuditEvent = ();
+
+/// The heap's instrumentation logs (see `fleet_obs::Probes`), drained by
+/// the device layer; the collectors in `fleet-gc` push their GC phase
+/// events and spans here too.
+#[cfg(any(feature = "audit", feature = "obs"))]
+pub type Probes = fleet_obs::Probes<AuditEvent>;
 
 /// An address-space change the kernel model must hear about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -105,13 +118,9 @@ pub struct Heap {
     live_objects: u64,
     events: Vec<HeapEvent>,
     cards: CardTable,
-    /// Flight-recorder buffer (see `crates/audit`); disabled by default.
-    #[cfg(feature = "audit")]
-    audit: fleet_audit::EventLog,
-    /// Observability record buffer (see `crates/obs`); disabled by default.
-    /// The collectors in `fleet-gc` push their phase spans here.
-    #[cfg(feature = "obs")]
-    obs: fleet_obs::ObsLog,
+    /// Instrumentation logs; disabled by default.
+    #[cfg(any(feature = "audit", feature = "obs"))]
+    probes: Probes,
 }
 
 impl Heap {
@@ -137,35 +146,15 @@ impl Heap {
             live_objects: 0,
             events: Vec::new(),
             cards,
-            #[cfg(feature = "audit")]
-            audit: fleet_audit::EventLog::default(),
-            #[cfg(feature = "obs")]
-            obs: fleet_obs::ObsLog::default(),
+            #[cfg(any(feature = "audit", feature = "obs"))]
+            probes: Probes::default(),
         }
     }
 
-    /// The flight-recorder buffer (drained by the device layer).
-    #[cfg(feature = "audit")]
-    pub fn audit_log_mut(&mut self) -> &mut fleet_audit::EventLog {
-        &mut self.audit
-    }
-
-    /// Read-only view of the flight-recorder buffer.
-    #[cfg(feature = "audit")]
-    pub fn audit_log(&self) -> &fleet_audit::EventLog {
-        &self.audit
-    }
-
-    /// The observability record buffer (drained by the device layer).
-    #[cfg(feature = "obs")]
-    pub fn obs_log_mut(&mut self) -> &mut fleet_obs::ObsLog {
-        &mut self.obs
-    }
-
-    /// Read-only view of the observability record buffer.
-    #[cfg(feature = "obs")]
-    pub fn obs_log(&self) -> &fleet_obs::ObsLog {
-        &self.obs
+    /// The instrumentation logs (enabled and drained by the device layer).
+    #[cfg(any(feature = "audit", feature = "obs"))]
+    pub fn probes_mut(&mut self) -> &mut Probes {
+        &mut self.probes
     }
 
     /// The heap configuration.
@@ -198,7 +187,7 @@ impl Heap {
         let region = Region::new(id, kind, base, self.config.region_size, true);
         self.events.push(HeapEvent::RegionMapped { base, len: self.config.region_size as u64 });
         self.regions.push(Some(region));
-        audit!(self, |pid| fleet_audit::AuditEvent::RegionMapped {
+        probe!(audit, self, |pid| AuditEvent::RegionMapped {
             pid,
             region: idx,
             base,
@@ -268,7 +257,7 @@ impl Heap {
         );
         self.used_bytes -= region.used() as u64;
         self.events.push(HeapEvent::RegionFreed { base: region.base(), len: region.size() as u64 });
-        audit!(self, |pid| fleet_audit::AuditEvent::RegionFreed {
+        probe!(audit, self, |pid| AuditEvent::RegionFreed {
             pid,
             region: id.0,
             base: region.base(),
@@ -326,7 +315,7 @@ impl Heap {
         self.used_bytes += size as u64;
         self.live_bytes += size as u64;
         self.live_objects += 1;
-        audit!(self, |pid| fleet_audit::AuditEvent::ObjectAlloc {
+        probe!(audit, self, |pid| AuditEvent::ObjectAlloc {
             pid,
             object: id.0 as u64,
             region: region_id.0,
@@ -356,18 +345,13 @@ impl Heap {
         // Slow-path allocation opened a fresh region: an instant span on the
         // app's track ("heap" cat — the device feeds these separately so
         // they never adopt GC phase spans as children).
-        #[cfg(feature = "obs")]
-        self.obs.push(|pid| {
-            fleet_obs::ObsRecord::Span(fleet_obs::SpanRec {
-                pid,
-                name: "alloc",
-                cat: "heap",
-                depth: 0,
-                rel_start: 0,
-                dur: 0,
-                args: vec![("region", u64::from(fresh.0)), ("size", u64::from(size))],
-            })
-        });
+        probe!(obs, self, |pid| fleet_obs::ObsRecord::root(
+            pid,
+            "alloc",
+            "heap",
+            0,
+            vec![("region", u64::from(fresh.0)), ("size", u64::from(size))],
+        ));
         let offset =
             self.region_mut(fresh).bump(size, id).expect("fresh region can hold any valid object");
         (fresh, offset)
@@ -441,7 +425,7 @@ impl Heap {
         assert!(self.contains(to), "dangling reference target {to}");
         self.write_barrier(from);
         self.object_mut(from).refs_mut().push(to);
-        audit!(self, |pid| fleet_audit::AuditEvent::RefAdded {
+        probe!(audit, self, |pid| AuditEvent::RefAdded {
             pid,
             from: from.0 as u64,
             to: to.0 as u64,
@@ -454,7 +438,7 @@ impl Heap {
         let refs = self.object_mut(from).refs_mut();
         if let Some(pos) = refs.iter().position(|&r| r == to) {
             refs.swap_remove(pos);
-            audit!(self, |pid| fleet_audit::AuditEvent::RefRemoved {
+            probe!(audit, self, |pid| AuditEvent::RefRemoved {
                 pid,
                 from: from.0 as u64,
                 to: to.0 as u64,
@@ -471,10 +455,10 @@ impl Heap {
         for &to in &refs {
             assert!(self.contains(to), "dangling reference target {to}");
         }
-        audit!(self, |pid| fleet_audit::AuditEvent::RefsCleared { pid, object: from.0 as u64 });
+        probe!(audit, self, |pid| AuditEvent::RefsCleared { pid, object: from.0 as u64 });
         #[cfg(feature = "audit")]
         for &to in &refs {
-            audit!(self, |pid| fleet_audit::AuditEvent::RefAdded {
+            probe!(audit, self, |pid| AuditEvent::RefAdded {
                 pid,
                 from: from.0 as u64,
                 to: to.0 as u64,
@@ -488,7 +472,7 @@ impl Heap {
     pub fn clear_refs(&mut self, from: ObjectId) {
         self.write_barrier(from);
         self.object_mut(from).refs_mut().clear();
-        audit!(self, |pid| fleet_audit::AuditEvent::RefsCleared { pid, object: from.0 as u64 });
+        probe!(audit, self, |pid| AuditEvent::RefsCleared { pid, object: from.0 as u64 });
     }
 
     /// The write barrier: every object write dirties the card covering the
@@ -508,7 +492,7 @@ impl Heap {
     pub fn add_root(&mut self, id: ObjectId) {
         if !self.roots.contains(&id) {
             self.roots.push(id);
-            audit!(self, |pid| fleet_audit::AuditEvent::RootAdded { pid, object: id.0 as u64 });
+            probe!(audit, self, |pid| AuditEvent::RootAdded { pid, object: id.0 as u64 });
         }
     }
 
@@ -517,7 +501,7 @@ impl Heap {
         let before = self.roots.len();
         self.roots.retain(|&r| r != id);
         if self.roots.len() != before {
-            audit!(self, |pid| fleet_audit::AuditEvent::RootRemoved { pid, object: id.0 as u64 });
+            probe!(audit, self, |pid| AuditEvent::RootRemoved { pid, object: id.0 as u64 });
         }
     }
 
@@ -543,7 +527,7 @@ impl Heap {
         let (new_region, offset) = self.bump_into(dest, size, id);
         self.used_bytes += size as u64; // the from-region copy is reclaimed at free_region
         self.object_mut(id).relocate(new_region, offset);
-        audit!(self, |pid| fleet_audit::AuditEvent::ObjectCopied {
+        probe!(audit, self, |pid| AuditEvent::ObjectCopied {
             pid,
             object: id.0 as u64,
             from_region: old_region.0,
@@ -567,7 +551,7 @@ impl Heap {
         self.region_mut(obj.region()).remove_object(id);
         self.live_bytes -= obj.size() as u64;
         self.live_objects -= 1;
-        audit!(self, |pid| fleet_audit::AuditEvent::ObjectFreed {
+        probe!(audit, self, |pid| AuditEvent::ObjectFreed {
             pid,
             object: id.0 as u64,
             region: obj.region().0,

@@ -38,18 +38,30 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-/// Emits a flight-recorder event; compiled to nothing without the `audit`
+/// Emits a probe record into the kernel's `audit` (flight-recorder event)
+/// or `obs` (span/metric) log. Each kind compiles to nothing without its
 /// feature, so emission sites cost zero in normal builds.
+macro_rules! probe {
+    (audit, $self:ident, $ev:expr) => {{
+        #[cfg(feature = "audit")]
+        $self.probes.audit.push(|_| $ev);
+    }};
+    (obs, $self:ident, $rec:expr) => {{
+        #[cfg(feature = "obs")]
+        $self.probes.obs.push(move |_| $rec);
+    }};
+}
+
 #[cfg(feature = "audit")]
-macro_rules! audit {
-    ($self:ident, $ev:expr) => {
-        $self.audit.push(|_| $ev)
-    };
-}
-#[cfg(not(feature = "audit"))]
-macro_rules! audit {
-    ($self:ident, $ev:expr) => {};
-}
+use fleet_audit::AuditEvent;
+/// An obs-only build's audit log carries nothing.
+#[cfg(all(feature = "obs", not(feature = "audit")))]
+type AuditEvent = ();
+
+/// The kernel's instrumentation logs (see `fleet_obs::Probes`), drained by
+/// the device layer.
+#[cfg(any(feature = "audit", feature = "obs"))]
+pub type Probes = fleet_obs::Probes<AuditEvent>;
 
 /// Builds a child span of a `fault_service` span for one degradation event
 /// (retry chain, discard-and-refault, fatal loss) at `rel` nanos into the
@@ -776,12 +788,9 @@ pub struct MemoryManager {
     /// [`MmConfig::integrity`].
     integrity: IntegrityState,
     stats: KernelStats,
-    /// Flight-recorder buffer (see `crates/audit`); disabled by default.
-    #[cfg(feature = "audit")]
-    audit: fleet_audit::EventLog,
-    /// Observability record buffer (see `crates/obs`); disabled by default.
-    #[cfg(feature = "obs")]
-    obs: fleet_obs::ObsLog,
+    /// Instrumentation logs; disabled by default.
+    #[cfg(any(feature = "audit", feature = "obs"))]
+    probes: Probes,
 }
 
 impl MemoryManager {
@@ -805,35 +814,15 @@ impl MemoryManager {
             wss_enabled: false,
             integrity: IntegrityState::new(config.integrity),
             stats: KernelStats::default(),
-            #[cfg(feature = "audit")]
-            audit: fleet_audit::EventLog::default(),
-            #[cfg(feature = "obs")]
-            obs: fleet_obs::ObsLog::default(),
+            #[cfg(any(feature = "audit", feature = "obs"))]
+            probes: Probes::default(),
         }
     }
 
-    /// The flight-recorder buffer (drained by the device layer).
-    #[cfg(feature = "audit")]
-    pub fn audit_log_mut(&mut self) -> &mut fleet_audit::EventLog {
-        &mut self.audit
-    }
-
-    /// Read-only view of the flight-recorder buffer.
-    #[cfg(feature = "audit")]
-    pub fn audit_log(&self) -> &fleet_audit::EventLog {
-        &self.audit
-    }
-
-    /// The observability record buffer (drained by the device layer).
-    #[cfg(feature = "obs")]
-    pub fn obs_log_mut(&mut self) -> &mut fleet_obs::ObsLog {
-        &mut self.obs
-    }
-
-    /// Read-only view of the observability record buffer.
-    #[cfg(feature = "obs")]
-    pub fn obs_log(&self) -> &fleet_obs::ObsLog {
-        &self.obs
+    /// The instrumentation logs (enabled and drained by the device layer).
+    #[cfg(any(feature = "audit", feature = "obs"))]
+    pub fn probes_mut(&mut self) -> &mut Probes {
+        &mut self.probes
     }
 
     /// The configuration.
@@ -891,10 +880,7 @@ impl MemoryManager {
     pub(crate) fn note_lmk_kill(&mut self, _pid: Pid, _freed_pages: u64) {
         #[cfg(feature = "audit")]
         if self.swap.fault_active() {
-            audit!(
-                self,
-                fleet_audit::AuditEvent::LmkKill { pid: _pid.0, freed_pages: _freed_pages }
-            );
+            probe!(audit, self, AuditEvent::LmkKill { pid: _pid.0, freed_pages: _freed_pages });
         }
     }
 
@@ -1119,9 +1105,10 @@ impl MemoryManager {
             rec.detected = true;
             self.stats.corruptions_detected += 1;
             self.stats.pages_lost += 1;
-            audit!(
+            probe!(
+                audit,
                 self,
-                fleet_audit::AuditEvent::CorruptionDetected {
+                AuditEvent::CorruptionDetected {
                     pid: key.pid.0,
                     page: key.index,
                     tier: _tier.as_str(),
@@ -1144,9 +1131,10 @@ impl MemoryManager {
         }
         rec.detected = true;
         self.stats.corruptions_detected += 1;
-        audit!(
+        probe!(
+            audit,
             self,
-            fleet_audit::AuditEvent::CorruptionDetected {
+            AuditEvent::CorruptionDetected {
                 pid: key.pid.0,
                 page: key.index,
                 tier: _tier.as_str(),
@@ -1162,13 +1150,10 @@ impl MemoryManager {
     /// its quarantine count saturates the threshold.
     fn integrity_note_quarantine(&mut self, _key: PageKey, tier: SwapTier) {
         self.stats.slots_quarantined += 1;
-        audit!(
+        probe!(
+            audit,
             self,
-            fleet_audit::AuditEvent::SlotQuarantined {
-                pid: _key.pid.0,
-                page: _key.index,
-                tier: tier.as_str(),
-            }
+            AuditEvent::SlotQuarantined { pid: _key.pid.0, page: _key.index, tier: tier.as_str() }
         );
         let threshold = u64::from(self.integrity.config.quarantine_threshold);
         match tier {
@@ -1179,10 +1164,7 @@ impl MemoryManager {
                     let _q = self.swap.front().map_or(0, |f| f.quarantined_pages());
                     self.swap.retire_front();
                     self.stats.tiers_retired += 1;
-                    audit!(
-                        self,
-                        fleet_audit::AuditEvent::TierRetired { tier: "zram", quarantined: _q }
-                    );
+                    probe!(audit, self, AuditEvent::TierRetired { tier: "zram", quarantined: _q });
                 }
             }
             SwapTier::Flash => {
@@ -1190,10 +1172,7 @@ impl MemoryManager {
                     let _q = self.swap.back().quarantined_pages();
                     self.integrity.degraded = true;
                     self.stats.tiers_retired += 1;
-                    audit!(
-                        self,
-                        fleet_audit::AuditEvent::TierRetired { tier: "flash", quarantined: _q }
-                    );
+                    probe!(audit, self, AuditEvent::TierRetired { tier: "flash", quarantined: _q });
                 }
             }
         }
@@ -1250,7 +1229,7 @@ impl MemoryManager {
         }
         self.stats.scrub_passes += 1;
         self.stats.scrub_pages_scanned += scanned;
-        audit!(self, fleet_audit::AuditEvent::ScrubPass { scanned, detected });
+        probe!(audit, self, AuditEvent::ScrubPass { scanned, detected });
         Some(ScrubReport { scanned, detected })
     }
 
@@ -1303,7 +1282,7 @@ impl MemoryManager {
             let node = self.queue_push(key, file);
             self.table_mut_or_create(pid).map(index, file, node);
             self.resident_count += 1;
-            audit!(self, fleet_audit::AuditEvent::PageMapped { pid: pid.0, page: index, file });
+            probe!(audit, self, AuditEvent::PageMapped { pid: pid.0, page: index, file });
         }
         Ok(())
     }
@@ -1321,9 +1300,10 @@ impl MemoryManager {
         let Some(e) = self.table_mut(key.pid).and_then(|t| t.unmap(key.index)) else {
             return;
         };
-        audit!(
+        probe!(
+            audit,
             self,
-            fleet_audit::AuditEvent::PageUnmapped {
+            AuditEvent::PageUnmapped {
                 pid: key.pid.0,
                 page: key.index,
                 resident: e.is_resident(),
@@ -1399,7 +1379,7 @@ impl MemoryManager {
         // "fault_service" span; buffered here because the parent's duration
         // is only known once the batched stall is added at the end.
         #[cfg(feature = "obs")]
-        let obs_on = self.obs.is_enabled();
+        let obs_on = self.probes.obs.is_enabled();
         #[cfg(feature = "obs")]
         let mut obs_children: Vec<fleet_obs::SpanRec> = Vec::new();
         for index in pages_in_range(addr, len.max(1)) {
@@ -1440,9 +1420,10 @@ impl MemoryManager {
                     self.stats.corruptions_detected += 1;
                     outcome.degraded_latency += penalty;
                     outcome.latency += penalty;
-                    audit!(
+                    probe!(
+                        audit,
                         self,
-                        fleet_audit::AuditEvent::CorruptionDetected {
+                        AuditEvent::CorruptionDetected {
                             pid: pid.0,
                             page: index,
                             tier: "flash",
@@ -1546,9 +1527,10 @@ impl MemoryManager {
                 self.table_expect(pid, index, "fault-in").set_resident(index, node);
                 self.resident_count += 1;
                 outcome.touched_pages += 1;
-                audit!(
+                probe!(
+                    audit,
                     self,
-                    fleet_audit::AuditEvent::PageFault {
+                    AuditEvent::PageFault {
                         pid: pid.0,
                         page: index,
                         file,
@@ -1609,29 +1591,30 @@ impl MemoryManager {
         if obs_on && (outcome.faulted_pages > 0 || !obs_children.is_empty()) {
             let dur = outcome.latency.as_nanos();
             let (pages, retries) = (outcome.faulted_pages, outcome.retries);
-            self.obs.push(move |_| {
-                fleet_obs::ObsRecord::Span(fleet_obs::SpanRec {
-                    pid: 0,
-                    name: "fault_service",
-                    cat: "kernel",
-                    depth: 0,
-                    rel_start: 0,
+            probe!(
+                obs,
+                self,
+                fleet_obs::ObsRecord::root(
+                    0,
+                    "fault_service",
+                    "kernel",
                     dur,
-                    args: vec![
+                    vec![
                         ("pid", u64::from(pid.0)),
                         ("pages", pages),
                         ("retries", retries),
                         ("kind", kind as u64),
                     ],
-                })
-            });
+                )
+            );
             for child in obs_children {
-                self.obs.push(move |_| fleet_obs::ObsRecord::Span(child));
+                probe!(obs, self, fleet_obs::ObsRecord::Span(child));
             }
-            self.obs.push(move |_| fleet_obs::ObsRecord::Latency {
-                name: "kernel.fault_service_ns",
-                nanos: dur,
-            });
+            probe!(
+                obs,
+                self,
+                fleet_obs::ObsRecord::Latency { name: "kernel.fault_service_ns", nanos: dur }
+            );
         }
         // Feed the working-set tracker (Swam reclaim policy): a pure counter
         // bump, so it cannot perturb any event stream. GC traversal is
@@ -1706,9 +1689,10 @@ impl MemoryManager {
                     if let Some(victim) = self.file_lru.pop_coldest() {
                         self.mark_swapped_out(victim);
                         self.stats.pages_dropped_file += 1;
-                        audit!(
+                        probe!(
+                            audit,
                             self,
-                            fleet_audit::AuditEvent::SwapOut {
+                            AuditEvent::SwapOut {
                                 pid: victim.pid.0,
                                 page: victim.index,
                                 file: true,
@@ -1780,9 +1764,10 @@ impl MemoryManager {
                 self.mark_swapped_out(victim);
                 self.stats.pages_swapped_out += 1;
                 self.stats.kswapd_cpu_nanos += op.latency.as_nanos();
-                audit!(
+                probe!(
+                    audit,
                     self,
-                    fleet_audit::AuditEvent::SwapOut {
+                    AuditEvent::SwapOut {
                         pid: victim.pid.0,
                         page: victim.index,
                         file: false,
@@ -1796,9 +1781,10 @@ impl MemoryManager {
                 // Tier placement is only recorded on hybrid stacks, so the
                 // single-tier (golden) event stream is untouched.
                 if self.swap.has_front() {
-                    audit!(
+                    probe!(
+                        audit,
                         self,
-                        fleet_audit::AuditEvent::SwapTierStore {
+                        AuditEvent::SwapTierStore {
                             pid: victim.pid.0,
                             page: victim.index,
                             tier: tier.as_str(),
@@ -1812,9 +1798,10 @@ impl MemoryManager {
                 self.stats.swap_write_errors += 1;
                 let op = if err == SwapError::Full { "reserve" } else { "write" };
                 let _ = op;
-                audit!(
+                probe!(
+                    audit,
                     self,
-                    fleet_audit::AuditEvent::SwapIoError {
+                    AuditEvent::SwapIoError {
                         pid: victim.pid.0,
                         page: victim.index,
                         op,
@@ -1850,21 +1837,19 @@ impl MemoryManager {
                     retries += 1;
                     extra += retry_backoff(retries);
                     self.stats.fault_retries += 1;
-                    audit!(
+                    probe!(
+                        audit,
                         self,
-                        fleet_audit::AuditEvent::FaultRetry {
-                            pid: _pid.0,
-                            page: _index,
-                            attempt: retries,
-                        }
+                        AuditEvent::FaultRetry { pid: _pid.0, page: _index, attempt: retries }
                     );
                 }
                 Some(other) => {
                     let _transient = other == ReadFault::Transient;
                     self.stats.swap_read_errors += 1;
-                    audit!(
+                    probe!(
+                        audit,
                         self,
-                        fleet_audit::AuditEvent::SwapIoError {
+                        AuditEvent::SwapIoError {
                             pid: _pid.0,
                             page: _index,
                             op: "read",
@@ -1935,24 +1920,28 @@ impl MemoryManager {
             }
         }
         #[cfg(feature = "obs")]
-        if self.obs.is_enabled() && reclaimed > 0 {
+        if self.probes.obs.is_enabled() && reclaimed > 0 {
             let dur = self.stats.kswapd_cpu_nanos - cpu_before;
             let free = self.free_frames();
-            self.obs.push(move |_| {
-                fleet_obs::ObsRecord::Span(fleet_obs::SpanRec {
-                    pid: 0,
-                    name: "kswapd_pass",
-                    cat: "kernel",
-                    depth: 0,
-                    rel_start: 0,
+            probe!(
+                obs,
+                self,
+                fleet_obs::ObsRecord::root(
+                    0,
+                    "kswapd_pass",
+                    "kernel",
                     dur,
-                    args: vec![("reclaimed", reclaimed), ("free_frames", free)],
-                })
-            });
-            self.obs.push(move |_| fleet_obs::ObsRecord::Counter {
-                name: "kernel.kswapd_reclaimed_pages",
-                delta: reclaimed,
-            });
+                    vec![("reclaimed", reclaimed), ("free_frames", free)],
+                )
+            );
+            probe!(
+                obs,
+                self,
+                fleet_obs::ObsRecord::Counter {
+                    name: "kernel.kswapd_reclaimed_pages",
+                    delta: reclaimed,
+                }
+            );
         }
         reclaimed
     }
@@ -2025,9 +2014,10 @@ impl MemoryManager {
                     self.stats.corruptions_injected += 1;
                     self.stats.corruptions_detected += 1;
                     self.stats.kswapd_cpu_nanos += op.latency.as_nanos();
-                    audit!(
+                    probe!(
+                        audit,
                         self,
-                        fleet_audit::AuditEvent::CorruptionDetected {
+                        AuditEvent::CorruptionDetected {
                             pid: victim.pid.0,
                             page: victim.index,
                             tier: "flash",
@@ -2052,12 +2042,10 @@ impl MemoryManager {
                     em.flags &= !PE_ZRAM;
                     em.node = NO_NODE;
                     moved += 1;
-                    audit!(
+                    probe!(
+                        audit,
                         self,
-                        fleet_audit::AuditEvent::SwapWriteback {
-                            pid: victim.pid.0,
-                            page: victim.index,
-                        }
+                        AuditEvent::SwapWriteback { pid: victim.pid.0, page: victim.index }
                     );
                 }
                 Err(_) => {
@@ -2138,7 +2126,7 @@ impl MemoryManager {
             }
             e.touched = 0;
             if e.estimate > 0 {
-                audit!(self, fleet_audit::AuditEvent::WssSample { pid: pid.0, pages: e.estimate });
+                probe!(audit, self, AuditEvent::WssSample { pid: pid.0, pages: e.estimate });
             }
             out.push(WssSnapshot { pid, estimate: e.estimate, idle_epochs: e.idle_epochs });
         }
@@ -2174,10 +2162,7 @@ impl MemoryManager {
             self.stats.kswapd_cpu_nanos += self.swap.back().write_cost(1).as_nanos();
             self.mark_swapped_out(victim);
             moved += 1;
-            audit!(
-                self,
-                fleet_audit::AuditEvent::ProactiveSwapOut { pid: pid.0, page: victim.index }
-            );
+            probe!(audit, self, AuditEvent::ProactiveSwapOut { pid: pid.0, page: victim.index });
             self.integrity_note_store(victim, SwapTier::Flash);
         }
         moved
@@ -2202,7 +2187,7 @@ impl MemoryManager {
             em.flags |= PE_PINNED;
             em.node = NO_NODE;
             pinned += 1;
-            audit!(self, fleet_audit::AuditEvent::PagePinned { pid: pid.0, page: index });
+            probe!(audit, self, AuditEvent::PagePinned { pid: pid.0, page: index });
         }
         pinned
     }
@@ -2222,7 +2207,7 @@ impl MemoryManager {
             em.flags &= !PE_PINNED;
             em.node = node;
             unpinned += 1;
-            audit!(self, fleet_audit::AuditEvent::PageUnpinned { pid: pid.0, page: index });
+            probe!(audit, self, AuditEvent::PageUnpinned { pid: pid.0, page: index });
         }
         unpinned
     }
@@ -2280,9 +2265,10 @@ impl MemoryManager {
             self.table_expect(pid, index, "madvise(COLD_RUNTIME)").set_swapped(index);
             self.resident_count -= 1;
             moved += 1;
-            audit!(
+            probe!(
+                audit,
                 self,
-                fleet_audit::AuditEvent::SwapOut { pid: pid.0, page: index, file, advised: true }
+                AuditEvent::SwapOut { pid: pid.0, page: index, file, advised: true }
             );
             if !file {
                 self.integrity_note_store(key, SwapTier::Flash);
@@ -2308,7 +2294,7 @@ impl MemoryManager {
                 }
             }
             promoted += 1;
-            audit!(self, fleet_audit::AuditEvent::LruPromote { pid: pid.0, page: index });
+            probe!(audit, self, AuditEvent::LruPromote { pid: pid.0, page: index });
         }
         promoted
     }
@@ -2368,13 +2354,10 @@ impl MemoryManager {
                 let node = if e.is_pinned() { NO_NODE } else { self.queue_push(key, is_file) };
                 self.table_expect(pid, index, "prefetch").set_resident(index, node);
                 self.resident_count += 1;
-                audit!(
+                probe!(
+                    audit,
                     self,
-                    fleet_audit::AuditEvent::PagePrefetched {
-                        pid: pid.0,
-                        page: index,
-                        file: is_file,
-                    }
+                    AuditEvent::PagePrefetched { pid: pid.0, page: index, file: is_file }
                 );
             }
         }
@@ -2391,19 +2374,19 @@ impl MemoryManager {
             + degraded;
         let anon = anon + zram;
         #[cfg(feature = "obs")]
-        if self.obs.is_enabled() && anon + file > 0 {
+        if self.probes.obs.is_enabled() && anon + file > 0 {
             let (pages, dur) = (anon + file, latency.as_nanos());
-            self.obs.push(move |_| {
-                fleet_obs::ObsRecord::Span(fleet_obs::SpanRec {
-                    pid: 0,
-                    name: "prefetch",
-                    cat: "kernel",
-                    depth: 0,
-                    rel_start: 0,
+            probe!(
+                obs,
+                self,
+                fleet_obs::ObsRecord::root(
+                    0,
+                    "prefetch",
+                    "kernel",
                     dur,
-                    args: vec![("pid", u64::from(pid.0)), ("pages", pages)],
-                })
-            });
+                    vec![("pid", u64::from(pid.0)), ("pages", pages)],
+                )
+            );
         }
         (anon + file, latency)
     }
@@ -2463,7 +2446,7 @@ impl MemoryManager {
             self.table_expect(pid, index, "prefetch").set_resident(index, node);
             self.resident_count += 1;
             batch += 1;
-            audit!(self, fleet_audit::AuditEvent::PagePrefetched { pid: pid.0, page: index, file });
+            probe!(audit, self, AuditEvent::PagePrefetched { pid: pid.0, page: index, file });
         }
         let decompress = if zram > 0 {
             self.front_expect("zram prefetch read").read_pages(zram)

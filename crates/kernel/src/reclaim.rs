@@ -254,22 +254,20 @@ impl ReclaimDriver {
         let Some(report) = mm.scrub_tick() else { return };
         let _ = &report;
         #[cfg(feature = "obs")]
-        if mm.obs_log_mut().is_enabled() {
+        if mm.probes_mut().obs.is_enabled() {
             let dur = mm.stats().kswapd_cpu_nanos - cpu_before;
             let (scanned, detected) = (report.scanned, report.detected);
-            mm.obs_log_mut().push(move |_| {
-                fleet_obs::ObsRecord::Span(fleet_obs::SpanRec {
-                    pid: 0,
-                    name: "scrub",
-                    cat: "kernel",
-                    depth: 0,
-                    rel_start: 0,
+            mm.probes_mut().obs.push(move |_| {
+                fleet_obs::ObsRecord::root(
+                    0,
+                    "scrub",
+                    "kernel",
                     dur,
-                    args: vec![("scanned", scanned), ("detected", detected)],
-                })
+                    vec![("scanned", scanned), ("detected", detected)],
+                )
             });
             if detected > 0 {
-                mm.obs_log_mut().push(move |_| fleet_obs::ObsRecord::Counter {
+                mm.probes_mut().obs.push(move |_| fleet_obs::ObsRecord::Counter {
                     name: "kernel.corruptions_detected",
                     delta: detected,
                 });
@@ -344,18 +342,16 @@ impl ReclaimDriver {
         if moved > 0 {
             let dur = mm.stats().kswapd_cpu_nanos - cpu_before;
             let free = mm.free_frames();
-            mm.obs_log_mut().push(move |_| {
-                fleet_obs::ObsRecord::Span(fleet_obs::SpanRec {
-                    pid: 0,
-                    name: "proactive_reclaim",
-                    cat: "kernel",
-                    depth: 0,
-                    rel_start: 0,
+            mm.probes_mut().obs.push(move |_| {
+                fleet_obs::ObsRecord::root(
+                    0,
+                    "proactive_reclaim",
+                    "kernel",
                     dur,
-                    args: vec![("reclaimed", moved), ("free_frames", free)],
-                })
+                    vec![("reclaimed", moved), ("free_frames", free)],
+                )
             });
-            mm.obs_log_mut().push(move |_| fleet_obs::ObsRecord::Counter {
+            mm.probes_mut().obs.push(move |_| fleet_obs::ObsRecord::Counter {
                 name: "kernel.proactive_swapout_pages",
                 delta: moved,
             });

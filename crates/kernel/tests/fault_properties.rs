@@ -93,7 +93,7 @@ fn run_faulty_script(
     #[cfg(feature = "audit")]
     let dev = pipe.attach();
     #[cfg(feature = "audit")]
-    mm.audit_log_mut().enable(0);
+    mm.probes_mut().audit.enable(0);
 
     #[allow(unused_mut)] // mutated only under the audit feature
     let mut stream: Vec<String> = Vec::new();
@@ -148,7 +148,7 @@ fn run_faulty_script(
         // Replay events through the shadow auditor (all five invariant
         // families, including SwapIoError/FaultRetry residency rules).
         #[cfg(feature = "audit")]
-        for ev in mm.audit_log_mut().drain() {
+        for ev in mm.probes_mut().audit.drain() {
             stream.push(ev.to_string());
             pipe.feed(dev, ev);
         }
@@ -224,7 +224,7 @@ proptest! {
             ..MmConfig::default()
         });
         #[cfg(feature = "audit")]
-        mm.audit_log_mut().enable(0);
+        mm.probes_mut().audit.enable(0);
         #[allow(unused_mut)] // mutated only under the audit feature
         let mut bare: Vec<String> = Vec::new();
         for &op in &ops {
@@ -265,7 +265,7 @@ proptest! {
                 }
             }
             #[cfg(feature = "audit")]
-            for ev in mm.audit_log_mut().drain() {
+            for ev in mm.probes_mut().audit.drain() {
                 bare.push(ev.to_string());
             }
         }

@@ -95,14 +95,14 @@ fn run_integrity_script(
     #[cfg(feature = "audit")]
     let dev = pipe.attach();
     #[cfg(feature = "audit")]
-    mm.audit_log_mut().enable(0);
+    mm.probes_mut().audit.enable(0);
 
     #[allow(unused_mut)] // mutated only under the audit feature
     let mut stream: Vec<String> = Vec::new();
     #[allow(unused_mut, unused_variables)]
     let mut drain = |mm: &mut MemoryManager, stream: &mut Vec<String>| {
         #[cfg(feature = "audit")]
-        for ev in mm.audit_log_mut().drain() {
+        for ev in mm.probes_mut().audit.drain() {
             stream.push(ev.to_string());
             pipe.feed(dev, ev);
         }

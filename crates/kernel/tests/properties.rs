@@ -85,7 +85,7 @@ fn run_script(mut mm: MemoryManager, ops: Vec<MmOp>) -> Result<(), TestCaseError
     #[cfg(feature = "audit")]
     let dev = pipe.attach();
     #[cfg(feature = "audit")]
-    mm.audit_log_mut().enable(0);
+    mm.probes_mut().audit.enable(0);
 
     let mut mapped: HashMap<(u8, u16), ()> = HashMap::new();
     for op in ops {
@@ -144,7 +144,7 @@ fn run_script(mut mm: MemoryManager, ops: Vec<MmOp>) -> Result<(), TestCaseError
         // …the event-derived shadow state…
         #[cfg(feature = "audit")]
         {
-            for ev in mm.audit_log_mut().drain() {
+            for ev in mm.probes_mut().audit.drain() {
                 pipe.feed(dev, ev);
             }
             pipe.feed(
@@ -176,7 +176,7 @@ fn run_script(mut mm: MemoryManager, ops: Vec<MmOp>) -> Result<(), TestCaseError
 /// returns the canonical `Display` rendering of every audit event emitted.
 #[cfg(feature = "audit")]
 fn event_stream(mut mm: MemoryManager, ops: &[MmOp]) -> Vec<String> {
-    mm.audit_log_mut().enable(0);
+    mm.probes_mut().audit.enable(0);
     for &op in ops {
         match op {
             MmOp::Map { pid, page, file } => {
@@ -222,7 +222,7 @@ fn event_stream(mut mm: MemoryManager, ops: &[MmOp]) -> Vec<String> {
             }
         }
     }
-    mm.audit_log_mut().drain().into_iter().map(|e| e.to_string()).collect()
+    mm.probes_mut().audit.drain().into_iter().map(|e| e.to_string()).collect()
 }
 
 proptest! {

@@ -24,7 +24,6 @@ pub mod cdf;
 pub mod cpu;
 pub mod frames;
 pub mod histogram;
-pub mod loghist;
 pub mod moments;
 pub mod power;
 pub mod series;
@@ -36,7 +35,6 @@ pub use cdf::Cdf;
 pub use cpu::{CpuAccounting, ThreadClass};
 pub use frames::{FrameRecorder, FrameReport};
 pub use histogram::Histogram;
-pub use loghist::LogHistogram;
 pub use moments::Moments;
 pub use power::{PowerModel, PowerReport};
 pub use series::TimeSeries;

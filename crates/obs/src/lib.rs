@@ -1,34 +1,37 @@
-//! `fleet-obs` — virtual-time observability for the Fleet reproduction.
+//! `fleet-obs` — virtual-time observability for the Fleet reproduction,
+//! and the instrumentation log shared with the `fleet-audit` flight
+//! recorder.
 //!
-//! A zero-cost-when-disabled profiling layer mirroring the `fleet-audit`
-//! flight recorder's architecture: instrumented components (the kernel
-//! memory manager, per-process heaps, the device) own [`ObsLog`]s that are
-//! disabled by default; when a device finds an installed [`ObsPipeline`]
-//! (via `fleet::obs::install`) it enables them and drains them at the same
-//! deterministic barriers the audit layer uses. The pipeline turns the
-//! records into:
+//! Instrumented components (the kernel memory manager, per-process heaps)
+//! own a [`Probes`] pair of [`Log`]s, disabled by default: one of audit
+//! events, one of [`ObsRecord`]s. When a device finds an installed
+//! [`ObsPipeline`] (via `fleet::probe::install`) it enables the obs logs
+//! and drains them at its own barriers. The pipeline turns the records
+//! into:
 //!
 //! - hierarchical **spans** on virtual-time tracks ([`Tracer`]), exported
 //!   as Chrome trace-event JSON that loads in Perfetto;
 //! - a **metric registry** ([`MetricRegistry`]) of counters, gauges,
-//!   log-bucketed latency histograms and sampled time series, exported as
-//!   a schema-stable `metrics.json`.
+//!   log-bucketed latency histograms ([`LogHistogram`]) and sampled time
+//!   series, exported as a schema-stable `metrics.json`.
 //!
 //! Everything is stamped in *simulated* nanoseconds — the profiler sees
 //! the modelled device's time, not the host's.
 
 mod log;
+mod loghist;
 mod metrics;
 pub mod slo;
 mod tracer;
 
-pub use log::{ObsLog, ObsRecord, SpanArgs, SpanRec};
-pub use metrics::{LatencyHistogram, MetricRegistry, METRICS_SCHEMA_VERSION};
+pub use log::{Log, ObsRecord, Probes, SpanArgs, SpanRec};
+pub use loghist::LogHistogram;
+pub use metrics::{MetricRegistry, METRICS_SCHEMA_VERSION};
 pub use slo::{SloBreach, SloMetric, SloReport, SloSpec, SloVerdict, SloWindowPoint};
 pub use tracer::{validate_chrome_trace, PlacedSpan, TraceSummary, Tracer};
 
 /// The run-wide sink: a tracer plus a metric registry, shared by every
-/// device attached to it. Mirrors `fleet_audit::AuditPipeline`.
+/// device attached to it.
 #[derive(Debug, Default)]
 pub struct ObsPipeline {
     tracer: Tracer,

@@ -2,99 +2,18 @@
 //! time series, exported as a schema-stable `metrics.json` per experiment.
 //!
 //! Metric names are dotted `component.metric` paths (DESIGN.md §10);
-//! latency metrics end in `_ns`. Histograms bucket by `floor(log2(nanos))`
-//! — 64 buckets cover the full u64 range — and report p50/p90/p99/p999 by
-//! cumulative rank with linear interpolation inside the matched bucket,
-//! which is accurate to within the bucket's 2× width, plenty for
+//! latency metrics end in `_ns`. Latencies land in [`LogHistogram`]s, which
+//! report p50/p90/p99/p999 to within a log2 bucket's 2× width — plenty for
 //! order-of-magnitude latency attribution.
 
 use std::collections::BTreeMap;
 
 use serde::{Number, Value};
 
+use crate::LogHistogram;
+
 /// Version stamped into every exported `metrics.json`.
 pub const METRICS_SCHEMA_VERSION: u32 = 1;
-
-/// A log2-bucketed latency histogram.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram { buckets: [0; 64], count: 0, sum: 0, max: 0 }
-    }
-}
-
-impl LatencyHistogram {
-    fn bucket(nanos: u64) -> usize {
-        if nanos == 0 {
-            0
-        } else {
-            63 - nanos.leading_zeros() as usize
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, nanos: u64) {
-        self.record_n(nanos, 1);
-    }
-
-    /// Records `n` observations of the same value — bulk absorption from a
-    /// pre-aggregated source such as a population cohort histogram.
-    pub fn record_n(&mut self, nanos: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::bucket(nanos)] += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(nanos.saturating_mul(n));
-        self.max = self.max.max(nanos);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations, nanos.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest observation, nanos.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// The value at quantile `q` in [0, 1], interpolated inside the matched
-    /// log2 bucket; 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if seen + n >= rank {
-                let lo = if b == 0 { 0u64 } else { 1u64 << b };
-                let hi = if b >= 63 { u64::MAX } else { (1u64 << (b + 1)) - 1 };
-                let frac = (rank - seen) as f64 / n as f64;
-                let v = lo as f64 + frac * (hi - lo) as f64;
-                return (v as u64).min(self.max);
-            }
-            seen += n;
-        }
-        self.max
-    }
-}
 
 /// The run-wide registry of named metrics, fed by the pipeline as
 /// component logs drain.
@@ -102,7 +21,7 @@ impl LatencyHistogram {
 pub struct MetricRegistry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, LatencyHistogram>,
+    hists: BTreeMap<&'static str, LogHistogram>,
     series: BTreeMap<&'static str, Vec<(u64, u64)>>,
 }
 
@@ -149,7 +68,7 @@ impl MetricRegistry {
     }
 
     /// The named histogram, if any observations were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
+    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
         self.hists.get(name)
     }
 
@@ -217,30 +136,6 @@ impl MetricRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_percentiles_bracket_the_data() {
-        let mut h = LatencyHistogram::default();
-        for v in 1..=1000u64 {
-            h.record(v * 1000); // 1µs..1ms uniform
-        }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.max(), 1_000_000);
-        let p50 = h.quantile(0.5);
-        // True median 500_500; log2 buckets are 2x wide, so allow that.
-        assert!((250_000..=1_000_000).contains(&p50), "p50 = {p50}");
-        assert!(h.quantile(0.999) <= h.max());
-        assert!(h.quantile(0.5) <= h.quantile(0.99));
-    }
-
-    #[test]
-    fn histogram_handles_zero_and_empty() {
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.quantile(0.5), 0);
-        h.record(0);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.quantile(0.99), 0);
-    }
 
     #[test]
     fn registry_round_trip() {

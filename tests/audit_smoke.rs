@@ -7,7 +7,7 @@
 //! the same scenario.
 #![cfg(feature = "audit")]
 
-use fleet::audit::{install, shared_pipeline};
+use fleet::probe::{install, shared, AuditPipeline};
 use fleet::{Device, DeviceConfig, SchemeKind};
 use fleet_apps::profile_by_name;
 
@@ -35,7 +35,7 @@ impl Script {
 /// Runs one seeded scenario with the auditor installed and returns the
 /// recorder fingerprint `(event_count, hash)`.
 fn run_scenario(scheme: SchemeKind, seed: u64) -> (u64, u64) {
-    let pipeline = shared_pipeline();
+    let pipeline = shared::<AuditPipeline>();
     let _guard = install(pipeline.clone());
     let mut config = DeviceConfig::pixel3(scheme);
     config.seed = seed;
@@ -97,7 +97,7 @@ fn different_seeds_produce_different_event_streams() {
 /// still hash deterministically.
 fn run_faulty_scenario(scheme: SchemeKind, seed: u64, intensity: f64) -> (u64, u64) {
     use fleet_kernel::FaultConfig;
-    let pipeline = shared_pipeline();
+    let pipeline = shared::<AuditPipeline>();
     let _guard = install(pipeline.clone());
     let config = fleet::DeviceConfig::builder(scheme)
         .seed(seed)

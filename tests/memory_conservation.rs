@@ -42,7 +42,7 @@ fn invariants_hold_through_a_stormy_run() {
         // transition through the online invariant auditor, which panics on
         // the first violation with the flight-recorder ring as context.
         #[cfg(feature = "audit")]
-        let _guard = fleet::audit::install(fleet::audit::shared_pipeline());
+        let _guard = fleet::probe::install(fleet::probe::shared::<fleet::probe::AuditPipeline>());
         let mut dev = Device::new(DeviceConfig::pixel3(scheme));
         let apps = [
             profile_by_name("Twitter").unwrap(),
@@ -76,7 +76,7 @@ fn invariants_hold_through_a_stormy_run() {
 #[test]
 fn killing_everything_returns_all_memory() {
     #[cfg(feature = "audit")]
-    let _guard = fleet::audit::install(fleet::audit::shared_pipeline());
+    let _guard = fleet::probe::install(fleet::probe::shared::<fleet::probe::AuditPipeline>());
     let mut dev = Device::new(DeviceConfig::pixel3(SchemeKind::Fleet));
     for _ in 0..6 {
         dev.launch_cold(&synthetic_app(2048, 180));

@@ -7,7 +7,7 @@
 //! of the same script must place the identical spans.
 #![cfg(feature = "obs")]
 
-use fleet::obs::{install, shared_pipeline, validate_chrome_trace, PlacedSpan};
+use fleet::probe::{install, shared, validate_chrome_trace, ObsPipeline, PlacedSpan};
 use fleet::{Device, DeviceConfig, SchemeKind};
 use fleet_apps::profile_by_name;
 use proptest::prelude::*;
@@ -34,7 +34,7 @@ fn action_strategy() -> impl Strategy<Value = Action> {
 
 /// Runs a script under an installed pipeline and returns the placed spans.
 fn run_script(scheme: SchemeKind, seed: u64, script: &[Action]) -> Vec<PlacedSpan> {
-    let pipeline = shared_pipeline();
+    let pipeline = shared::<ObsPipeline>();
     {
         let _guard = install(pipeline.clone());
         let mut config = DeviceConfig::pixel3(scheme);

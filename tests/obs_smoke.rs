@@ -10,8 +10,8 @@
 //!   `metrics.json` carries the expected metric families.
 #![cfg(feature = "obs")]
 
-use fleet::obs::{install, shared_pipeline, validate_chrome_trace, PlacedSpan};
 use fleet::prelude::AppPool;
+use fleet::probe::{install, shared, validate_chrome_trace, ObsPipeline, PlacedSpan};
 use fleet::SchemeKind;
 
 fn pool_apps() -> Vec<String> {
@@ -46,7 +46,7 @@ fn launch_families(spans: &[PlacedSpan]) -> Vec<(u64, u64)> {
 
 #[test]
 fn launch_span_children_tile_the_root_exactly() {
-    let pipeline = shared_pipeline();
+    let pipeline = shared::<ObsPipeline>();
     let reports = {
         let _guard = install(pipeline.clone());
         let mut pool = AppPool::under_pressure(SchemeKind::Fleet, &pool_apps(), 23).unwrap();
@@ -75,7 +75,7 @@ fn installed_pipeline_does_not_perturb_the_simulation() {
         pool.measure_hot_launches("Twitter", 3).unwrap()
     };
     let traced = {
-        let pipeline = shared_pipeline();
+        let pipeline = shared::<ObsPipeline>();
         let _guard = install(pipeline);
         let mut pool = AppPool::under_pressure(SchemeKind::Fleet, &pool_apps(), 41).unwrap();
         pool.measure_hot_launches("Twitter", 3).unwrap()
@@ -85,7 +85,7 @@ fn installed_pipeline_does_not_perturb_the_simulation() {
 
 #[test]
 fn exporters_hold_their_schemas() {
-    let pipeline = shared_pipeline();
+    let pipeline = shared::<ObsPipeline>();
     {
         let _guard = install(pipeline.clone());
         let mut pool = AppPool::under_pressure(SchemeKind::Android, &pool_apps(), 7).unwrap();
@@ -119,7 +119,7 @@ fn uninstalled_runs_record_nothing() {
     // later reader sees an empty tracer — the default-off quiet gate.
     let mut pool = AppPool::under_pressure(SchemeKind::Fleet, &pool_apps(), 5).unwrap();
     pool.measure_hot_launches("Twitter", 1).unwrap();
-    let pipeline = shared_pipeline();
+    let pipeline = shared::<ObsPipeline>();
     let pipe = pipeline.lock().unwrap();
     assert!(pipe.spans().is_empty());
     assert_eq!(pipe.metrics().counter("launch.hot"), 0);
@@ -133,7 +133,7 @@ fn swam_daemon_emits_proactive_reclaim_spans() {
     // default-off silence).
     use fleet::{Device, DeviceConfig, KillPolicy, ReclaimPolicy, SwamParams};
     use fleet_apps::profile_by_name;
-    let pipeline = shared_pipeline();
+    let pipeline = shared::<ObsPipeline>();
     let pages = {
         let _guard = install(pipeline.clone());
         let swam = ReclaimPolicy::Swam(SwamParams { idle_epochs: 1, ..SwamParams::default() });

@@ -16,8 +16,8 @@
 //! ```
 #![cfg(feature = "audit")]
 
-use fleet::audit::{install, shared_pipeline};
 use fleet::population::{run_population, PopulationSpec, RangeU32};
+use fleet::probe::{install, shared, AuditPipeline};
 use fleet_kernel::{FaultConfig, IntegrityConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -53,7 +53,7 @@ fn audited_spec() -> PopulationSpec {
 /// recorder fingerprint after asserting the auditor stayed clean.
 fn record_cohort() -> (u64, u64) {
     let spec = audited_spec();
-    let pipeline = shared_pipeline();
+    let pipeline = shared::<AuditPipeline>();
     let _guard = install(pipeline.clone());
     let run = run_population(&spec, 1).expect("audited cohort runs");
     assert_eq!(run.aggregate.devices, COHORT_DEVICES as u64);
@@ -136,7 +136,7 @@ fn armed_fault_plans_stay_clean_and_deterministic_at_cohort_scale() {
     let mut fingerprints = Vec::new();
     let mut detected = 0;
     for _ in 0..2 {
-        let pipeline = shared_pipeline();
+        let pipeline = shared::<AuditPipeline>();
         let _guard = install(pipeline.clone());
         let run = run_population(&spec, 1).expect("armed cohort runs");
         assert_eq!(run.aggregate.devices, COHORT_DEVICES as u64);
@@ -164,7 +164,7 @@ fn armed_fault_plans_stay_clean_and_deterministic_at_cohort_scale() {
 fn audit_does_not_perturb_the_cohort() {
     let spec = audited_spec();
     let audited = {
-        let pipeline = shared_pipeline();
+        let pipeline = shared::<AuditPipeline>();
         let _guard = install(pipeline);
         run_population(&spec, 1).expect("audited cohort runs")
     };

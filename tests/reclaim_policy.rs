@@ -150,12 +150,12 @@ mod invisibility {
 #[cfg(feature = "audit")]
 mod swam_audit {
     use super::*;
-    use fleet::audit::{install, shared_pipeline};
+    use fleet::probe::{install, shared, AuditPipeline};
     use fleet::SwamParams;
 
     /// One Swam scenario under the auditor; returns `(events, hash)`.
     fn swam_scenario(scheme: SchemeKind, seed: u64, fault: Option<f64>) -> (u64, u64) {
-        let pipeline = shared_pipeline();
+        let pipeline = shared::<AuditPipeline>();
         let _guard = install(pipeline.clone());
         // An aggressive parameterisation (single idle epoch) so the
         // proactive daemon actually fires within a 30-op script.
@@ -194,7 +194,7 @@ mod swam_audit {
         // cached behind the foreground with long run stretches, so the
         // idle clocks cross the (single-epoch) threshold and the daemon
         // issues `ProactiveSwapOut` events the seventh family checks.
-        let pipeline = shared_pipeline();
+        let pipeline = shared::<AuditPipeline>();
         let _guard = install(pipeline.clone());
         let swam = ReclaimPolicy::Swam(SwamParams { idle_epochs: 1, ..SwamParams::default() });
         let config = DeviceConfig::builder(SchemeKind::Fleet)
@@ -222,7 +222,7 @@ mod swam_audit {
     #[test]
     fn default_and_explicit_reactive_audit_streams_match() {
         let stream = |explicit: bool| {
-            let pipeline = shared_pipeline();
+            let pipeline = shared::<AuditPipeline>();
             let _guard = install(pipeline.clone());
             let mut dev = build_device(SchemeKind::Fleet, 23, None, explicit);
             drive_and_fingerprint(&mut dev, 23);
