@@ -21,7 +21,7 @@
 //!   *prediction* of this set, exactly as on a real device.
 
 use crate::profile::AppProfile;
-use fleet_heap::{depth_map, AllocContext, Heap, ObjectId};
+use fleet_heap::{depth_map, AllocContext, Heap, ObjectId, ObjectMarks};
 use fleet_sim::SimRng;
 use std::collections::{HashSet, VecDeque};
 
@@ -347,10 +347,9 @@ impl AppBehavior {
         let model = self.profile.launch;
         let depths = depth_map(heap, None);
         let mut objects = Vec::new();
-        let mut included: HashSet<ObjectId> = HashSet::new();
-        let mut ids: Vec<ObjectId> = heap.object_ids().collect();
-        ids.sort_unstable(); // deterministic iteration
-        for obj in ids {
+        let mut included = ObjectMarks::for_heap(heap);
+        // Ascending id order: the RNG draws below follow it.
+        for obj in heap.object_ids() {
             let o = heap.object(obj);
             if o.context() == AllocContext::Background && !self.ws.contains(&obj) {
                 continue; // background bookkeeping is not launch state
@@ -359,8 +358,8 @@ impl AppBehavior {
                 Warm(f64),
                 ColdSeed,
             }
-            let class = match depths.get(&obj) {
-                Some(&d) if d <= 2 => Class::Warm(model.near_root_reaccess),
+            let class = match depths.get(obj) {
+                Some(d) if d <= 2 => Class::Warm(model.near_root_reaccess),
                 _ if self.young_at_switch.contains(&obj) => Class::Warm(model.young_reaccess),
                 _ if self.ws.contains(&obj) => Class::Warm(model.ws_reaccess),
                 Some(_) => Class::ColdSeed,
@@ -437,7 +436,7 @@ mod tests {
     fn framework_tier_is_about_ten_percent() {
         let (heap, _) = build("Twitter", 2_000_000);
         let depths = depth_map(&heap, Some(2));
-        let shallow_bytes: u64 = depths.keys().map(|&o| heap.object(o).size() as u64).sum();
+        let shallow_bytes: u64 = depths.iter().map(|(o, _)| heap.object(o).size() as u64).sum();
         let frac = shallow_bytes as f64 / heap.live_bytes() as f64;
         // Figure 6a: NRO at D=2 occupy ≈10.4% of memory.
         assert!((0.05..0.18).contains(&frac), "shallow fraction {frac}");
@@ -447,7 +446,7 @@ mod tests {
     fn graph_has_structure_past_depth_two() {
         let (heap, _) = build("Facebook", 1_000_000);
         let all = depth_map(&heap, None);
-        let max_depth = all.values().copied().max().unwrap();
+        let max_depth = all.iter().map(|(_, d)| d).max().unwrap();
         assert!(max_depth >= 6, "data tier should be deep, got {max_depth}");
     }
 
@@ -485,8 +484,7 @@ mod tests {
         let access = app.launch_access(&heap);
         assert!(!access.objects.is_empty());
         let depths = depth_map(&heap, None);
-        let near: Vec<ObjectId> =
-            depths.iter().filter(|&(_, &d)| d <= 2).map(|(&o, _)| o).collect();
+        let near: Vec<ObjectId> = depths.iter().filter(|&(_, d)| d <= 2).map(|(o, _)| o).collect();
         let near_set: HashSet<ObjectId> = near.iter().copied().collect();
         let accessed_near = access.objects.iter().filter(|o| near_set.contains(o)).count();
         let near_rate = accessed_near as f64 / near.len() as f64;

@@ -30,7 +30,7 @@ proptest! {
         prop_assert_eq!(reachable.len() as u64, heap.live_objects());
         // The framework tier exists and the data tier goes deep.
         let depths = depth_map(&heap, None);
-        let max_depth = depths.values().copied().max().unwrap_or(0);
+        let max_depth = depths.iter().map(|(_, d)| d).max().unwrap_or(0);
         prop_assert!(max_depth >= 4, "graph too shallow: {max_depth}");
     }
 

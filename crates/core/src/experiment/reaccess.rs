@@ -11,7 +11,7 @@
 use crate::error::FleetError;
 use crate::experiment::harness::{Experiment, ExperimentCtx, ExperimentOutput};
 use fleet_apps::{profile_by_name, AppBehavior};
-use fleet_heap::{depth_map, AllocContext, Heap, HeapConfig, ObjectId};
+use fleet_heap::{depth_map, AllocContext, DepthMap, Heap, HeapConfig, ObjectId};
 use fleet_metrics::Table;
 use fleet_sim::SimRng;
 use serde::Serialize;
@@ -50,7 +50,7 @@ pub struct Fig6bPoint {
 /// A prepared backgrounded app with its ground-truth sets.
 struct PreparedApp {
     heap: Heap,
-    nro_by_depth: std::collections::HashMap<ObjectId, u32>,
+    nro_by_depth: DepthMap,
     fyo: HashSet<ObjectId>,
     accessed: Vec<ObjectId>,
 }
@@ -98,7 +98,7 @@ pub fn fig6a(seed: u64) -> Vec<Fig6aRow> {
         .map(|app| {
             let prep = prepare(app, seed ^ app.len() as u64);
             let nro: HashSet<ObjectId> =
-                prep.nro_by_depth.iter().filter(|&(_, &d)| d <= 2).map(|(&o, _)| o).collect();
+                prep.nro_by_depth.iter().filter(|&(_, d)| d <= 2).map(|(o, _)| o).collect();
             let acc: HashSet<ObjectId> = prep.accessed.iter().copied().collect();
             let total = acc.len().max(1) as f64;
             let nro_hits = acc.intersection(&nro).count() as f64;
@@ -133,7 +133,7 @@ pub fn fig6b(seed: u64, max_depth: u32) -> Vec<Fig6bPoint> {
     (0..=max_depth)
         .map(|depth| {
             let nro: Vec<ObjectId> =
-                prep.nro_by_depth.iter().filter(|&(_, &d)| d <= depth).map(|(&o, _)| o).collect();
+                prep.nro_by_depth.iter().filter(|&(_, d)| d <= depth).map(|(o, _)| o).collect();
             let covered = nro.iter().filter(|o| acc.contains(o)).count() as f64;
             let mem = live_bytes_of(&prep.heap, nro.iter().copied()) as f64;
             Fig6bPoint {

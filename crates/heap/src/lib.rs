@@ -15,7 +15,7 @@
 //!   which is what makes an object an FGO or a BGO), roots, a dynamic heap
 //!   limit with a configurable growth factor (§7.4), and the copy machinery
 //!   collectors use ([`heap`]),
-//! * **graph utilities**: BFS depth maps from the roots (the "NRO" metric)
+//! * **graph utilities**: dense BFS depth maps from the roots (the "NRO" metric)
 //!   and reachability ([`graph`]).
 //!
 //! The heap knows nothing about pages being resident or swapped — that is
@@ -50,7 +50,7 @@ pub mod region;
 pub use bitmap::{ObjectMarks, RegionSet, SlotBitmap};
 pub use card::CardTable;
 pub use config::{HeapConfig, PAGE_SIZE};
-pub use graph::{depth_map, reachable_set};
+pub use graph::{depth_map, reachable_set, DepthMap};
 pub use heap::{Heap, HeapEvent, HeapStats};
 pub use object::{AllocContext, Object, ObjectClass, ObjectId};
 pub use region::{Region, RegionId, RegionKind};

@@ -103,7 +103,7 @@ proptest! {
         // NRO really are the depth-bounded set.
         let depths = depth_map(&heap, None);
         for &id in &live {
-            if depths[&id] <= depth {
+            if depths.get(id).expect("live objects are reached") <= depth {
                 prop_assert_eq!(heap.object(id).class(), Some(ObjectClass::Nro));
             }
         }
