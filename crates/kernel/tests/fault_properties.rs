@@ -133,7 +133,7 @@ fn run_faulty_script(
                 );
             }
             Op::Prefetch { pid, page } => {
-                let _ = mm.prefetch(Pid(pid as u32), page as u64 * PAGE_SIZE, PAGE_SIZE);
+                mm.prefetch_many(Pid(pid as u32), &[(page as u64 * PAGE_SIZE, PAGE_SIZE)]);
             }
             Op::Kswapd => {
                 mm.kswapd();
@@ -255,7 +255,7 @@ proptest! {
                     );
                 }
                 Op::Prefetch { pid, page } => {
-                    let _ = mm.prefetch(Pid(pid as u32), page as u64 * PAGE_SIZE, PAGE_SIZE);
+                    mm.prefetch_many(Pid(pid as u32), &[(page as u64 * PAGE_SIZE, PAGE_SIZE)]);
                 }
                 Op::Kswapd => {
                     mm.kswapd();

@@ -125,7 +125,7 @@ fn run_script(mut mm: MemoryManager, ops: Vec<MmOp>) -> Result<(), TestCaseError
                 mm.unpin_range(Pid(pid as u32), page as u64 * PAGE_SIZE, PAGE_SIZE);
             }
             MmOp::Prefetch { pid, page } => {
-                let _ = mm.prefetch(Pid(pid as u32), page as u64 * PAGE_SIZE, PAGE_SIZE);
+                mm.prefetch_many(Pid(pid as u32), &[(page as u64 * PAGE_SIZE, PAGE_SIZE)]);
             }
             MmOp::Kswapd => {
                 mm.kswapd();
@@ -209,7 +209,7 @@ fn event_stream(mut mm: MemoryManager, ops: &[MmOp]) -> Vec<String> {
                 mm.unpin_range(Pid(pid as u32), page as u64 * PAGE_SIZE, PAGE_SIZE);
             }
             MmOp::Prefetch { pid, page } => {
-                let _ = mm.prefetch(Pid(pid as u32), page as u64 * PAGE_SIZE, PAGE_SIZE);
+                mm.prefetch_many(Pid(pid as u32), &[(page as u64 * PAGE_SIZE, PAGE_SIZE)]);
             }
             MmOp::Kswapd => {
                 mm.kswapd();
@@ -317,7 +317,7 @@ proptest! {
             mm.validate();
             prop_assert_eq!(mm.process_mem(Pid(1)).swapped, pages);
             if use_prefetch {
-                let (got, _) = mm.prefetch(Pid(1), 0, pages * PAGE_SIZE).unwrap();
+                let (got, _) = mm.prefetch_many(Pid(1), &[(0, pages * PAGE_SIZE)]);
                 prop_assert_eq!(got, pages);
             } else {
                 let out = mm.access(Pid(1), 0, pages * PAGE_SIZE, AccessKind::Mutator);
