@@ -23,20 +23,6 @@ pub struct Fig7Row {
     pub cdf: Vec<(u32, f64)>,
 }
 
-/// The eight apps plotted in Figure 7.
-pub fn fig7_apps() -> Vec<&'static str> {
-    vec![
-        "Twitter",
-        "Facebook",
-        "Youtube",
-        "Tiktok",
-        "Amazon",
-        "GoogleMaps",
-        "CandyCrush",
-        "Firefox",
-    ]
-}
-
 /// Runs Figure 7: samples `n` object sizes per app and reports the CDF.
 pub fn fig7(seed: u64, n: usize) -> Vec<Fig7Row> {
     // "Amazon" in the figure is the AmazonShop catalog entry.

@@ -129,15 +129,3 @@ pub struct Process {
     /// driving ASAP-style prepaging when `prefetch_on_launch` is set.
     pub last_launch_faults: Vec<(u64, u64)>,
 }
-
-impl Process {
-    /// Launch reports of the given kind, as milliseconds.
-    pub fn launch_times_ms(&self, kind: LaunchKind) -> Vec<f64> {
-        self.launches.iter().filter(|l| l.kind == kind).map(|l| l.total.as_millis_f64()).collect()
-    }
-
-    /// Total GC CPU time so far.
-    pub fn gc_cpu(&self) -> SimDuration {
-        self.gcs.iter().map(|g| g.stats.cpu).sum()
-    }
-}

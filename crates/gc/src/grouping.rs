@@ -84,11 +84,6 @@ impl GroupingGc {
         self
     }
 
-    /// Whether incremental mode is enabled.
-    pub fn is_incremental(&self) -> bool {
-        self.incremental
-    }
-
     /// The configured NRO depth parameter D.
     pub fn depth(&self) -> u32 {
         self.depth

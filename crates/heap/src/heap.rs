@@ -587,12 +587,6 @@ impl Heap {
         self.object_mut(id).set_context(context);
     }
 
-    /// Changes a region's kind (e.g. marking compacted regions as
-    /// [`RegionKind::Fg`] after the full GC that separates FGO).
-    pub fn set_region_kind(&mut self, id: RegionId, kind: RegionKind) {
-        self.region_mut(id).set_kind(kind);
-    }
-
     /// The GC epoch — number of collections completed.
     pub fn gc_epoch(&self) -> u32 {
         self.gc_epoch

@@ -106,10 +106,6 @@ impl Region {
         self.kind
     }
 
-    pub(crate) fn set_kind(&mut self, kind: RegionKind) {
-        self.kind = kind;
-    }
-
     /// First heap address of the region.
     pub fn base(&self) -> u64 {
         self.base

@@ -77,11 +77,6 @@ impl MetricRegistry {
         self.series.get(name).map(Vec::as_slice)
     }
 
-    /// Names of all recorded series.
-    pub fn series_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.series.keys().copied()
-    }
-
     /// Serializes the registry as the schema-stable `metrics.json`
     /// document (pretty-printed; keys in sorted order).
     pub fn to_json(&self) -> String {
