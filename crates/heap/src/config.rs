@@ -53,8 +53,8 @@ impl HeapConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint: the region
-    /// size must be a positive multiple of the page size, the card shift
-    /// must keep a card no larger than a region, and growth factors must be
+    /// size must be a positive multiple of the page size and of the card
+    /// size (so no card straddles two regions), and growth factors must be
     /// at least 1.
     pub fn validate(&self) -> Result<(), String> {
         if self.region_size == 0 || !(self.region_size as u64).is_multiple_of(PAGE_SIZE) {
@@ -63,8 +63,14 @@ impl HeapConfig {
                 self.region_size
             ));
         }
-        if self.card_shift == 0 || (1u64 << self.card_shift) > self.region_size as u64 {
-            return Err(format!("card_shift {} must address at most one region", self.card_shift));
+        if self.card_shift == 0
+            || self.card_shift >= 32
+            || !(self.region_size as u64).is_multiple_of(1 << self.card_shift)
+        {
+            return Err(format!(
+                "card_shift {} must give a card size that divides region_size {}",
+                self.card_shift, self.region_size
+            ));
         }
         if self.growth_factor_foreground < 1.0 || self.growth_factor_background < 1.0 {
             return Err("growth factors must be >= 1.0".to_string());
@@ -109,6 +115,16 @@ mod tests {
     fn rejects_oversized_card() {
         let cfg = HeapConfig { card_shift: 30, ..HeapConfig::default() };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_cards_straddling_regions() {
+        // 8 KiB cards over 12 KiB regions: card 1 would cover bytes
+        // 8192..16384, half in region 0 and half in region 1.
+        let cfg = HeapConfig { region_size: 12288, card_shift: 13, ..HeapConfig::default() };
+        assert!(cfg.validate().is_err());
+        let cfg = HeapConfig { region_size: 12288, card_shift: 12, ..HeapConfig::default() };
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]
