@@ -19,8 +19,8 @@
 //!    reachable BGO.)
 
 use crate::collector::{
-    audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, Collector, GcCostModel, GcKind,
-    GcStats, MemoryTouch,
+    audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, sweep_regions, Collector,
+    GcCostModel, GcKind, GcStats, MemoryTouch,
 };
 use fleet_heap::{Heap, ObjectId, ObjectMarks, RegionId, RegionKind, RegionSet};
 use fleet_sim::SimDuration;
@@ -155,19 +155,7 @@ impl Collector for BackgroundObjectGc {
 
         // Free dead BGO; background from-regions are released only once
         // they hold nothing (always, unless the evacuation aborted).
-        for rid in bg_regions {
-            let dead: Vec<ObjectId> =
-                heap.region(rid).objects().iter().copied().filter(|&o| !live.contains(o)).collect();
-            for obj in dead {
-                stats.bytes_freed += heap.object(obj).size() as u64;
-                stats.objects_freed += 1;
-                heap.free_object(obj);
-            }
-            if heap.region(rid).objects().is_empty() {
-                heap.free_region(rid);
-                stats.regions_freed += 1;
-            }
-        }
+        sweep_regions(heap, &bg_regions, |o| live.contains(o), &mut stats);
 
         // Card aging. BGC consumed only one piece of the card table's
         // information — which FGO may reference background objects. The same

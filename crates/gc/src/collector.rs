@@ -1,6 +1,6 @@
 //! The collector interface, cost model and statistics.
 
-use fleet_heap::Heap;
+use fleet_heap::{Heap, ObjectId, RegionId};
 use fleet_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -154,6 +154,23 @@ impl GcStats {
     /// Wall-clock duration of the collection (CPU + fault stalls).
     pub fn duration(&self) -> SimDuration {
         self.cpu + self.fault_stall
+    }
+}
+
+/// Sweeps each from-region with [`Heap::sweep_region`]: objects `is_live`
+/// rejects are garbage, and regions left empty are released (all of them,
+/// unless the evacuation aborted). Tallies what was reclaimed in `stats`.
+pub(crate) fn sweep_regions(
+    heap: &mut Heap,
+    regions: &[RegionId],
+    is_live: impl Fn(ObjectId) -> bool,
+    stats: &mut GcStats,
+) {
+    for &rid in regions {
+        let swept = heap.sweep_region(rid, &is_live);
+        stats.objects_freed += swept.objects;
+        stats.bytes_freed += swept.bytes;
+        stats.regions_freed += u64::from(swept.region_freed);
     }
 }
 

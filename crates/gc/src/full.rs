@@ -8,8 +8,8 @@
 //! 37 s), which is why default Android cannot keep many apps cached.
 
 use crate::collector::{
-    audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, Collector, GcCostModel, GcKind,
-    GcStats, MemoryTouch,
+    audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, sweep_regions, Collector,
+    GcCostModel, GcKind, GcStats, MemoryTouch,
 };
 use fleet_heap::{AllocContext, Heap, ObjectId, ObjectMarks, RegionKind, RegionSet};
 use fleet_sim::SimDuration;
@@ -129,19 +129,7 @@ impl Collector for FullCopyingGc {
         // Sweep the from-regions: anything unmarked is garbage. After a
         // clean evacuation this empties and frees every from-region; after
         // an abort, regions still holding in-place survivors stay mapped.
-        for &rid in &from_regions {
-            let dead: Vec<ObjectId> =
-                heap.region(rid).objects().iter().copied().filter(|&o| !live.contains(o)).collect();
-            for obj in dead {
-                stats.bytes_freed += heap.object(obj).size() as u64;
-                stats.objects_freed += 1;
-                heap.free_object(obj);
-            }
-            if heap.region(rid).objects().is_empty() {
-                heap.free_region(rid);
-                stats.regions_freed += 1;
-            }
-        }
+        sweep_regions(heap, &from_regions, |o| live.contains(o), &mut stats);
 
         // All addresses moved: stale cards are dropped, then the one piece
         // of card information that outlives a full GC is rebuilt — which

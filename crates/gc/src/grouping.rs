@@ -18,8 +18,8 @@
 //! address ranges of each group for the `madvise` calls of §5.3.2.
 
 use crate::collector::{
-    audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, GcCostModel, GcKind, GcStats,
-    MemoryTouch,
+    audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, sweep_regions, GcCostModel,
+    GcKind, GcStats, MemoryTouch,
 };
 use fleet_heap::{
     AllocContext, DepthMap, Heap, ObjectClass, ObjectId, ObjectMarks, RegionId, RegionKind,
@@ -243,24 +243,7 @@ impl GroupingGc {
 
         // Sweep the from-space: unmarked objects are garbage; regions are
         // released only once empty (always, unless the evacuation aborted).
-        for &rid in &from_regions {
-            let dead: Vec<ObjectId> = heap
-                .region(rid)
-                .objects()
-                .iter()
-                .copied()
-                .filter(|&o| depths.get(o).is_none())
-                .collect();
-            for obj in dead {
-                stats.bytes_freed += heap.object(obj).size() as u64;
-                stats.objects_freed += 1;
-                heap.free_object(obj);
-            }
-            if heap.region(rid).objects().is_empty() {
-                heap.free_region(rid);
-                stats.regions_freed += 1;
-            }
-        }
+        sweep_regions(heap, &from_regions, |o| depths.get(o).is_some(), &mut stats);
 
         // Record the grouped ranges for madvise (§5.3.2). Whole regions are
         // reported: their pages are mapped and cohesive by construction.

@@ -94,7 +94,7 @@ impl MarvinState {
 pub fn swappable_pages(heap: &Heap, state: &MarvinState) -> Vec<u64> {
     let mut pages: Vec<u64> = Vec::new();
     for region in heap.regions() {
-        if region.objects().is_empty() {
+        if region.is_empty() {
             continue;
         }
         let first_page = region.base() / PAGE_SIZE;
@@ -102,7 +102,7 @@ pub fn swappable_pages(heap: &Heap, state: &MarvinState) -> Vec<u64> {
         // A page is pinned if any non-bookmarked object overlaps it.
         let mut pinned = vec![false; page_count as usize];
         let mut occupied = vec![false; page_count as usize];
-        for &obj in region.objects() {
+        for obj in heap.region_objects(region.id()) {
             let o = heap.object(obj);
             let start = o.offset() as u64;
             let end = start + o.size() as u64;
@@ -206,8 +206,7 @@ impl Collector for MarvinGc {
             }
         }
         heap.retire_alloc_targets();
-        let empty: Vec<_> =
-            heap.regions().filter(|r| r.objects().is_empty()).map(|r| r.id()).collect();
+        let empty: Vec<_> = heap.regions().filter(|r| r.is_empty()).map(|r| r.id()).collect();
         for rid in empty {
             heap.free_region(rid);
             stats.regions_freed += 1;

@@ -6,8 +6,8 @@
 //! card table — old regions are *not* traced wholesale.
 
 use crate::collector::{
-    audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, Collector, GcCostModel, GcKind,
-    GcStats, MemoryTouch,
+    audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, sweep_regions, Collector,
+    GcCostModel, GcKind, GcStats, MemoryTouch,
 };
 use fleet_heap::{AllocContext, Heap, ObjectId, ObjectMarks, RegionId, RegionKind, RegionSet};
 use fleet_sim::SimDuration;
@@ -149,19 +149,7 @@ impl Collector for MinorGc {
                 vec![("region", u64::from(region)), ("objects_left", left)]
             });
         }
-        for rid in young_regions {
-            let dead: Vec<ObjectId> =
-                heap.region(rid).objects().iter().copied().filter(|&o| !live.contains(o)).collect();
-            for obj in dead {
-                stats.bytes_freed += heap.object(obj).size() as u64;
-                stats.objects_freed += 1;
-                heap.free_object(obj);
-            }
-            if heap.region(rid).objects().is_empty() {
-                heap.free_region(rid);
-                stats.regions_freed += 1;
-            }
-        }
+        sweep_regions(heap, &young_regions, |o| live.contains(o), &mut stats);
 
         // Card aging, with the same preservation rules as BGC: boundary
         // objects that reference background objects keep their cards (BGC's

@@ -87,6 +87,17 @@ pub struct HeapStats {
     pub limit: u64,
 }
 
+/// What one [`Heap::sweep_region`] reclaimed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Swept {
+    /// Dead objects freed.
+    pub objects: u64,
+    /// Bytes of the dead objects freed.
+    pub bytes: u64,
+    /// Whether the region was left empty and released.
+    pub region_freed: bool,
+}
+
 /// The region-based Java heap.
 ///
 /// # Examples
@@ -247,9 +258,9 @@ impl Heap {
             .and_then(|r| r.take())
             .expect("region freed or out of range");
         assert!(
-            region.objects().is_empty(),
+            region.is_empty(),
             "freeing a region that still holds {} objects",
-            region.objects().len()
+            region.live_objects()
         );
         assert!(
             !self.alloc_targets.contains(&Some(id)),
@@ -514,17 +525,17 @@ impl Heap {
     // ----------------------------------------------------------- GC machinery
 
     /// Copies a live object into the current to-region of kind `dest`,
-    /// removing it from its old region. The object keeps its identifier.
+    /// counting it out of its old region. The object keeps its identifier.
     ///
     /// # Panics
     ///
     /// Panics if the object has been freed.
     pub fn copy_object(&mut self, id: ObjectId, dest: RegionKind) {
-        let (size, old_region, old_offset) = {
+        let (size, old_region) = {
             let o = self.object(id);
-            (o.size(), o.region(), o.offset())
+            (o.size(), o.region())
         };
-        self.unlink(id, old_region, old_offset);
+        self.region_mut(old_region).release_object();
         let (new_region, offset) = self.bump_into(dest, size, id);
         self.used_bytes += size as u64; // the from-region copy is reclaimed at free_region
         self.object_mut(id).relocate(new_region, offset);
@@ -537,20 +548,19 @@ impl Heap {
         });
     }
 
-    /// Frees a dead object, removing it from its region.
+    /// Frees a dead object, counting it out of its region.
     ///
     /// # Panics
     ///
     /// Panics if the object was already freed or is still a root.
     pub fn free_object(&mut self, id: ObjectId) {
         assert!(!self.roots.contains(&id), "freeing a root object {id}");
-        let (region, offset) = {
-            let o = self.object(id);
-            (o.region(), o.offset())
-        };
-        // The search reads the victim's own offset: unlink before the take.
-        self.unlink(id, region, offset);
-        let obj = self.arena[id.0 as usize].take().expect("object freed or out of range");
+        let obj = self
+            .arena
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
+            .expect("object freed or out of range");
+        self.region_mut(obj.region()).release_object();
         self.live_bytes -= obj.size() as u64;
         self.live_objects -= 1;
         probe!(audit, self, |pid| AuditEvent::ObjectFreed {
@@ -561,18 +571,54 @@ impl Heap {
         });
     }
 
-    /// Removes `id`, still live at `offset`, from `region`'s list. The list
-    /// is in offset order and the object still carries its offset in it
-    /// (copies unlink before they relocate), so the unlink binary-searches
-    /// arena offsets.
-    fn unlink(&mut self, id: ObjectId, region: RegionId, offset: u32) {
-        let arena = &self.arena;
-        self.regions[region.0 as usize]
-            .as_mut()
-            .expect("region freed or out of range")
-            .remove_object_at(id, offset, |o| {
-                arena[o.0 as usize].as_ref().expect("listed object is live").offset()
-            });
+    /// The object `id` if the arena has it live at `offset` of region
+    /// `rid`, that is, if the log entry `(offset, id)` still holds it.
+    /// Copies append a new entry and frees take the arena slot, so stale
+    /// entries never match.
+    fn member(&self, rid: RegionId, offset: u32, id: ObjectId) -> Option<&Object> {
+        self.try_object(id).filter(|o| o.region() == rid && o.offset() == offset)
+    }
+
+    /// The live objects of region `rid` in increasing-offset order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region was freed or never existed.
+    pub fn region_objects(&self, rid: RegionId) -> impl Iterator<Item = ObjectId> + '_ {
+        self.region(rid)
+            .log()
+            .iter()
+            .filter(move |&&(offset, id)| self.member(rid, offset, id).is_some())
+            .map(|&(_, id)| id)
+    }
+
+    /// Frees every live object of region `rid` that `is_live` rejects, in
+    /// increasing-offset order, then releases the region if nothing in it
+    /// is live any more.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region was freed, if a rejected object is a root, or
+    /// if the emptied region is an allocation target.
+    pub fn sweep_region(&mut self, rid: RegionId, is_live: impl Fn(ObjectId) -> bool) -> Swept {
+        // Freeing never reads the log, so it can be borrowed out meanwhile.
+        let log = std::mem::take(self.region_mut(rid).log_mut());
+        let mut swept = Swept::default();
+        for &(offset, id) in &log {
+            let Some(size) = self.member(rid, offset, id).map(Object::size) else { continue };
+            if !is_live(id) {
+                self.free_object(id);
+                swept.objects += 1;
+                swept.bytes += size as u64;
+            }
+        }
+        if self.region(rid).is_empty() {
+            self.free_region(rid);
+            swept.region_freed = true;
+        } else {
+            *self.region_mut(rid).log_mut() = log;
+        }
+        swept
     }
 
     /// Sets (or clears) the RGS classification of an object.
@@ -637,22 +683,25 @@ impl Heap {
     /// Objects overlapping card `card` of the card table, in address order.
     pub fn objects_in_card(&self, card: usize) -> Vec<ObjectId> {
         let range = self.cards.card_range(card);
-        let Some(region_id) = self.region_of_addr(range.start) else {
+        let Some(rid) = self.region_of_addr(range.start) else {
             return Vec::new();
         };
-        let region = self.region(region_id);
-        let base = region.base();
-        let span = |id: ObjectId| {
-            let o = self.object(id);
-            let addr = base + o.offset() as u64;
-            addr..addr + o.size() as u64
-        };
-        // The list is in offset order and objects never overlap, so their
-        // ends ascend too: skip to the first object ending past the card's
-        // start and stop at the first one starting at or past its end.
-        let objects = region.objects();
-        let first = objects.partition_point(|&id| span(id).end <= range.start);
-        objects[first..].iter().copied().take_while(|&id| span(id).start < range.end).collect()
+        let region = self.region(rid);
+        // A card never straddles regions (`HeapConfig::validate`).
+        let start = (range.start - region.base()) as u32;
+        let end = start + self.cards.card_size() as u32;
+        // Log entries cover disjoint bump ranges in offset order, so of
+        // those starting before the card only the last can reach into it.
+        let log = region.log();
+        let first = log.partition_point(|&(offset, _)| offset < start).saturating_sub(1);
+        log[first..]
+            .iter()
+            .take_while(|&&(offset, _)| offset < end)
+            .filter(|&&(offset, id)| {
+                self.member(rid, offset, id).is_some_and(|o| offset + o.size() > start)
+            })
+            .map(|&(_, id)| id)
+            .collect()
     }
 
     /// The BGC card table.
@@ -730,10 +779,10 @@ impl Heap {
     }
 
     /// Verifies that no live object references a freed object, that every
-    /// root is live, and that the region lists hold every live object
-    /// exactly once, in strictly increasing, non-overlapping offset order
-    /// (the order `objects_in_card` and `copy_object` binary-search on).
-    /// O(heap); used by debug assertions and tests.
+    /// root is live, and that the region logs hold every live object
+    /// exactly once: each log's offsets strictly ascend within the region's
+    /// used bytes, its live members do not overlap, and their number is the
+    /// region's live count. O(heap); used by debug assertions and tests.
     ///
     /// # Errors
     ///
@@ -744,7 +793,7 @@ impl Heap {
                 return Err(format!("dead root {root}"));
             }
         }
-        let mut live = 0usize;
+        let mut live = 0u64;
         for (i, slot) in self.arena.iter().enumerate() {
             let Some(obj) = slot.as_ref() else { continue };
             live += 1;
@@ -754,37 +803,41 @@ impl Heap {
                 }
             }
         }
-        // A listed object is live and names this region, and offsets strictly
-        // ascend, so no object is listed twice; equal counts then mean every
-        // live object is listed exactly once.
-        let mut listed = 0usize;
+        // A member names its region and offset, and offsets strictly
+        // ascend, so no object is a member twice; per-region counts that
+        // sum to the arena's then mean every live object is logged once.
+        let mut counted = 0u64;
         for region in self.regions() {
+            let (rid, used) = (region.id(), region.used());
+            let mut next = 0u32;
             let mut end = 0u32;
-            for &id in region.objects() {
-                let Some(obj) = self.try_object(id) else {
-                    return Err(format!("{} lists dead {id}", region.id()));
-                };
-                if obj.region() != region.id() {
+            let mut members = 0u32;
+            for &(offset, id) in region.log() {
+                if offset < next || offset >= used {
                     return Err(format!(
-                        "{} lists {id}, which is in {}",
-                        region.id(),
-                        obj.region()
+                        "{rid} logs {id} at offset {offset} out of order or bounds (next {next}, used {used})"
                     ));
                 }
-                if obj.offset() < end || obj.offset() + obj.size() > region.used() {
+                next = offset + 1;
+                let Some(obj) = self.member(rid, offset, id) else { continue };
+                if offset < end || offset + obj.size() > used {
                     return Err(format!(
-                        "{} lists {id} at offset {} out of order or bounds (previous end {end}, used {})",
-                        region.id(),
-                        obj.offset(),
-                        region.used()
+                        "{rid} holds {id} at offset {offset} over the previous object or past used (previous end {end}, used {used})"
                     ));
                 }
-                end = obj.offset() + obj.size();
+                end = offset + obj.size();
+                members += 1;
             }
-            listed += region.objects().len();
+            if members != region.live_objects() {
+                return Err(format!(
+                    "{rid} holds {members} live objects, its count {}",
+                    region.live_objects()
+                ));
+            }
+            counted += u64::from(members);
         }
-        if listed != live {
-            return Err(format!("region lists hold {listed} objects, the arena {live} live ones"));
+        if counted != live {
+            return Err(format!("region logs hold {counted} live objects, the arena {live}"));
         }
         Ok(())
     }
@@ -975,26 +1028,57 @@ mod tests {
         h.alloc(10);
         assert_eq!(h.validate_refs(), Ok(()));
         let region = h.object(a).region();
-        h.region_mut(region).objects_mut().swap(0, 1);
+        h.region_mut(region).log_mut().swap(0, 1);
         let err = h.validate_refs().unwrap_err();
         assert!(err.contains("out of order"), "{err}");
-        h.region_mut(region).objects_mut().truncate(1);
+        h.region_mut(region).log_mut().truncate(1);
         let err = h.validate_refs().unwrap_err();
-        assert!(err.contains("hold 1 objects"), "{err}");
+        assert!(err.contains("holds 1 live objects, its count 2"), "{err}");
+        // Consistent per-region counts still miss the unlogged object.
+        h.region_mut(region).release_object();
+        let err = h.validate_refs().unwrap_err();
+        assert!(err.contains("hold 1 live objects, the arena 2"), "{err}");
     }
 
     #[test]
     fn unlink_handles_copies_into_the_same_region() {
         let mut h = small_heap();
         let ids: Vec<ObjectId> = (0..4).map(|_| h.alloc(100)).collect();
+        let region = h.object(ids[0]).region();
         // The Eden target is still open: copying into Eden appends to the
-        // same region, after its remaining objects.
+        // same region, after its remaining objects; the old entry goes
+        // stale.
         h.copy_object(ids[1], RegionKind::Eden);
-        let region = h.region(h.object(ids[0]).region());
-        assert_eq!(region.objects(), &[ids[0], ids[2], ids[3], ids[1]]);
+        assert_eq!(h.object(ids[1]).region(), region);
+        assert_eq!(h.region_objects(region).collect::<Vec<_>>(), [ids[0], ids[2], ids[3], ids[1]]);
+        assert_eq!(h.region(region).live_objects(), 4);
         h.free_object(ids[0]);
         h.free_object(ids[1]);
-        assert_eq!(h.region(h.object(ids[2]).region()).objects(), &[ids[2], ids[3]]);
+        assert_eq!(h.region_objects(region).collect::<Vec<_>>(), [ids[2], ids[3]]);
+        assert_eq!(h.region(region).live_objects(), 2);
+        assert_eq!(h.validate_refs(), Ok(()));
+    }
+
+    #[test]
+    fn sweep_region_frees_dead_members_in_offset_order() {
+        let mut h = small_heap();
+        let ids: Vec<ObjectId> = (0..5).map(|_| h.alloc(100)).collect();
+        let region = h.object(ids[0]).region();
+        h.add_root(ids[2]);
+        h.retire_alloc_targets();
+        // A copied-out object leaves a stale entry the sweep must skip.
+        h.copy_object(ids[4], RegionKind::Fg);
+        let swept = h.sweep_region(region, |o| o == ids[2]);
+        assert_eq!(swept, Swept { objects: 3, bytes: 300, region_freed: false });
+        assert_eq!(h.region_objects(region).collect::<Vec<_>>(), [ids[2]]);
+        assert!(h.contains(ids[4]));
+        assert_eq!(h.validate_refs(), Ok(()));
+        h.remove_root(ids[2]);
+        h.copy_object(ids[2], RegionKind::Fg);
+        h.drain_events();
+        let swept = h.sweep_region(region, |_| false);
+        assert_eq!(swept, Swept { objects: 0, bytes: 0, region_freed: true });
+        assert_eq!(h.drain_events(), [HeapEvent::RegionFreed { base: 0, len: 4096 }]);
         assert_eq!(h.validate_refs(), Ok(()));
     }
 

@@ -51,6 +51,6 @@ pub use bitmap::{ObjectMarks, RegionSet, SlotBitmap};
 pub use card::CardTable;
 pub use config::{HeapConfig, PAGE_SIZE};
 pub use graph::{depth_map, reachable_set, DepthMap};
-pub use heap::{Heap, HeapEvent, HeapStats};
+pub use heap::{Heap, HeapEvent, HeapStats, Swept};
 pub use object::{AllocContext, Object, ObjectClass, ObjectId};
 pub use region::{Region, RegionId, RegionKind};

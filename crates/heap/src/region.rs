@@ -80,9 +80,14 @@ pub struct Region {
     size: u32,
     top: u32,
     newly_allocated: bool,
-    /// Objects in the region, in increasing-offset order (bump allocation
-    /// appends monotonically).
-    objects: Vec<ObjectId>,
+    /// Allocation log: `(offset, object)` for every bump, so in strictly
+    /// increasing offset order. Nothing edits it, since a region never
+    /// reuses space: an entry holds its object only while the arena has
+    /// that object live at this region and offset (see
+    /// [`crate::Heap::region_objects`]).
+    log: Vec<(u32, ObjectId)>,
+    /// Live objects in the region: the log entries that still hold theirs.
+    live: u32,
 }
 
 impl Region {
@@ -93,7 +98,7 @@ impl Region {
         size: u32,
         newly_allocated: bool,
     ) -> Self {
-        Region { id, kind, base, size, top: 0, newly_allocated, objects: Vec::new() }
+        Region { id, kind, base, size, top: 0, newly_allocated, log: Vec::new(), live: 0 }
     }
 
     /// The region's identifier.
@@ -136,48 +141,42 @@ impl Region {
         self.newly_allocated = false;
     }
 
-    /// Objects in the region in increasing-offset order.
-    pub fn objects(&self) -> &[ObjectId] {
-        &self.objects
+    /// True when the region holds no live object.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
     }
 
-    /// Bump-allocates `size` bytes, returning the offset, or `None` when the
-    /// region is full.
+    /// Number of live objects in the region.
+    pub fn live_objects(&self) -> u32 {
+        self.live
+    }
+
+    /// The allocation log: `(offset, object)` per bump, offsets ascending.
+    pub(crate) fn log(&self) -> &[(u32, ObjectId)] {
+        &self.log
+    }
+
+    pub(crate) fn log_mut(&mut self) -> &mut Vec<(u32, ObjectId)> {
+        &mut self.log
+    }
+
+    /// Bump-allocates `size` bytes for `obj`, returning the offset, or
+    /// `None` when the region is full.
     pub(crate) fn bump(&mut self, size: u32, obj: ObjectId) -> Option<u32> {
         if size == 0 || size > self.free() {
             return None;
         }
         let offset = self.top;
         self.top += size;
-        self.objects.push(obj);
+        self.log.push((offset, obj));
+        self.live += 1;
         Some(offset)
     }
 
-    /// Unlinks `obj`, which the list holds at `offset`, by binary search:
-    /// the list is in increasing-offset order. `offset_of` reads a listed
-    /// object's offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj` is not listed at `offset`: either it is not in this
-    /// region or the list is out of order.
-    pub(crate) fn remove_object_at(
-        &mut self,
-        obj: ObjectId,
-        offset: u32,
-        offset_of: impl Fn(ObjectId) -> u32,
-    ) {
-        match self.objects.binary_search_by_key(&offset, |&o| offset_of(o)) {
-            Ok(pos) if self.objects[pos] == obj => {
-                self.objects.remove(pos);
-            }
-            _ => panic!("{obj} is not listed at offset {offset} of {}", self.id),
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn objects_mut(&mut self) -> &mut Vec<ObjectId> {
-        &mut self.objects
+    /// Counts one live object out: it was copied elsewhere or freed. Its
+    /// log entry stays; the arena no longer places the object there.
+    pub(crate) fn release_object(&mut self) {
+        self.live -= 1;
     }
 
     /// End address (exclusive) of the allocated part of the region.
@@ -202,7 +201,8 @@ mod tests {
         assert_eq!(r.bump(200, ObjectId(1)), Some(100));
         assert_eq!(r.used(), 300);
         assert_eq!(r.free(), 724);
-        assert_eq!(r.objects(), &[ObjectId(0), ObjectId(1)]);
+        assert_eq!(r.log(), &[(0, ObjectId(0)), (100, ObjectId(1))]);
+        assert_eq!(r.live_objects(), 2);
     }
 
     #[test]
@@ -231,31 +231,14 @@ mod tests {
         assert!(r.newly_allocated());
         r.clear_newly_allocated();
         assert!(!r.newly_allocated());
+        assert!(r.is_empty());
         r.bump(10, ObjectId(9));
         assert_eq!(r.allocated_end(), 4106);
-        r.remove_object_at(ObjectId(9), 0, |_| 0);
-        assert!(r.objects().is_empty());
-    }
-
-    #[test]
-    fn remove_object_at_binary_searches_by_offset() {
-        let mut r = Region::new(RegionId(0), RegionKind::Eden, 0, 1024, true);
-        let offsets: Vec<u32> = (0..5).map(|i| r.bump(10 + i, ObjectId(i)).unwrap()).collect();
-        let offset_of = |o: ObjectId| offsets[o.0 as usize];
-        r.remove_object_at(ObjectId(0), offsets[0], offset_of);
-        r.remove_object_at(ObjectId(2), offsets[2], offset_of);
-        r.remove_object_at(ObjectId(4), offsets[4], offset_of);
-        assert_eq!(r.objects(), &[ObjectId(1), ObjectId(3)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not listed at offset 0")]
-    fn remove_object_at_misses_panic() {
-        let mut r = Region::new(RegionId(0), RegionKind::Eden, 0, 1024, true);
-        r.bump(10, ObjectId(0));
-        r.bump(10, ObjectId(1));
-        // Object 1 lives at offset 10, not 0.
-        r.remove_object_at(ObjectId(1), 0, |o| o.0 * 10);
+        assert!(!r.is_empty());
+        // Releasing the object empties the region but keeps its log entry.
+        r.release_object();
+        assert!(r.is_empty());
+        assert_eq!(r.log(), &[(0, ObjectId(9))]);
     }
 
     #[test]

@@ -1,23 +1,26 @@
-//! Differential tests: the indexed heap lookups against the scans they
-//! replaced.
+//! Differential tests: the indexed heap lookups against references read
+//! from the arena alone.
 //!
-//! * `Heap::objects_in_card` binary-searches the region's offset-ordered
-//!   object list and stops at the card's end; the reference filters the
-//!   whole region list for objects overlapping the card.
+//! * A region's allocation log keeps an entry for every bump, and the arena
+//!   decides which entries still hold their object. `Heap::region_objects`
+//!   and `Region::live_objects` must match the arena's live objects that
+//!   name the region, in offset order.
+//! * `Heap::objects_in_card` binary-searches a region's log and stops at the
+//!   card's end; the reference is every live object whose address range
+//!   overlaps the card, in address order.
 //! * `depth_map` fills a dense arena-slot `DepthMap`; the reference is the
 //!   `HashMap` + `VecDeque` breadth-first search it replaced, kept here
 //!   verbatim as the oracle.
 //!
 //! Random scripts of allocation, reference edges, context switches,
-//! target retirement, copies and frees (removals at the front, middle and
-//! end of region lists; objects straddling card boundaries) run on a heap
-//! with 4 KiB regions and 1 KiB cards. After every step both lookups must
-//! agree with their references, and `validate_refs` must accept the region
-//! lists the binary searches rely on.
+//! target retirement, copies and frees (of the first, middle and last live
+//! object of a region; objects straddling card boundaries) run on a heap
+//! with 4 KiB regions and 1 KiB cards. After every step every lookup must
+//! agree with its reference, and `validate_refs` must accept the logs.
 
-use fleet_heap::{depth_map, AllocContext, Heap, HeapConfig, ObjectId, RegionKind};
+use fleet_heap::{depth_map, AllocContext, Heap, HeapConfig, ObjectId, RegionId, RegionKind};
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 const REGION_SIZE: u32 = 4096;
 const CARD_SHIFT: u32 = 10;
@@ -30,7 +33,7 @@ const KINDS: [RegionKind; 6] = [
     RegionKind::Cold,
 ];
 
-/// Where in a region's object list a copy or free picks its victim.
+/// Which of a region's live objects, in offset order, a copy or free picks.
 #[derive(Debug, Clone, Copy)]
 enum Pos {
     Front,
@@ -93,10 +96,13 @@ fn new_heap() -> Heap {
     heap
 }
 
-/// The object at `pos` in the list of the `region`-th non-empty region.
+/// The live object at `pos` in the `region`-th non-empty region.
 fn pick(heap: &Heap, region: usize, pos: Pos) -> Option<ObjectId> {
-    let lists: Vec<&[ObjectId]> =
-        heap.regions().map(|r| r.objects()).filter(|l| !l.is_empty()).collect();
+    let lists: Vec<Vec<ObjectId>> = heap
+        .regions()
+        .filter(|r| !r.is_empty())
+        .map(|r| heap.region_objects(r.id()).collect())
+        .collect();
     let list = lists.get(region % lists.len().max(1))?;
     let at = match pos {
         Pos::Front => 0,
@@ -142,8 +148,7 @@ fn apply(heap: &mut Heap, op: &Op) {
         }
         Op::FreeEmptyRegions => {
             heap.retire_alloc_targets();
-            let empty: Vec<_> =
-                heap.regions().filter(|r| r.objects().is_empty()).map(|r| r.id()).collect();
+            let empty: Vec<_> = heap.regions().filter(|r| r.is_empty()).map(|r| r.id()).collect();
             for id in empty {
                 heap.free_region(id);
             }
@@ -151,23 +156,33 @@ fn apply(heap: &mut Heap, op: &Op) {
     }
 }
 
-/// The card lookup before indexing: filter the whole region list.
-fn objects_in_card_scan(heap: &Heap, card: usize) -> Vec<ObjectId> {
+/// Every region's live objects in offset order, read from the arena alone.
+fn arena_members(heap: &Heap) -> BTreeMap<RegionId, Vec<ObjectId>> {
+    let mut members: BTreeMap<RegionId, Vec<ObjectId>> = BTreeMap::new();
+    for id in heap.object_ids() {
+        members.entry(heap.object(id).region()).or_default().push(id);
+    }
+    for list in members.values_mut() {
+        list.sort_by_key(|&id| heap.object(id).offset());
+    }
+    members
+}
+
+/// The live objects overlapping card `card`, in address order, from
+/// `members` (the arena's view).
+fn objects_in_card_scan(
+    heap: &Heap,
+    members: &BTreeMap<RegionId, Vec<ObjectId>>,
+    card: usize,
+) -> Vec<ObjectId> {
     let range = heap.cards().card_range(card);
-    let Some(region_id) = heap.region_of_addr(range.start) else {
-        return Vec::new();
-    };
-    let region = heap.region(region_id);
-    let base = region.base();
-    region
-        .objects()
-        .iter()
+    members
+        .values()
+        .flatten()
         .copied()
         .filter(|&id| {
-            let o = heap.object(id);
-            let addr = base + o.offset() as u64;
-            let end = addr + o.size() as u64;
-            addr < range.end && end > range.start
+            let addr = heap.address(id);
+            addr < range.end && addr + heap.object(id).size() as u64 > range.start
         })
         .collect()
 }
@@ -206,11 +221,20 @@ fn depth_map_hashed(
 
 fn check(heap: &Heap) -> Result<(), TestCaseError> {
     prop_assert_eq!(heap.validate_refs(), Ok(()));
+    let members = arena_members(heap);
+    for rid in members.keys() {
+        prop_assert!(heap.try_region(*rid).is_some(), "a live object names unmapped {}", rid);
+    }
+    for region in heap.regions() {
+        let expected = members.get(&region.id()).cloned().unwrap_or_default();
+        prop_assert_eq!(region.live_objects() as usize, expected.len(), "{}", region.id());
+        prop_assert_eq!(heap.region_objects(region.id()).collect::<Vec<_>>(), expected);
+    }
     let cards_per_region = (REGION_SIZE >> CARD_SHIFT) as usize;
     for card in 0..(heap.region_slots() + 1) * cards_per_region {
         prop_assert_eq!(
             heap.objects_in_card(card),
-            objects_in_card_scan(heap, card),
+            objects_in_card_scan(heap, &members, card),
             "card {}",
             card
         );
@@ -245,8 +269,8 @@ proptest! {
     }
 }
 
-/// Frees and copies at the front, middle and end of region lists, each
-/// step checked against the references.
+/// Frees and copies of the first, middle and last live object of a region,
+/// each step checked against the references.
 #[test]
 fn removals_at_every_list_position() {
     let mut heap = new_heap();
