@@ -5,15 +5,25 @@
 //! This is exactly the bug class the card-table remembered sets guard
 //! against (BGC, incremental re-grouping and the minor GC all consume and
 //! must selectively preserve card information), so it gets its own
-//! adversarial property test.
+//! adversarial property test. Collections may also run out of copy budget
+//! part-way, which aborts the evacuation: survivors stay in from-regions
+//! whose allocation logs still name the objects copied out of them.
 
 use fleet_gc::{
-    BackgroundObjectGc, Collector, FullCopyingGc, GcCostModel, GroupingGc, MarvinGc, MinorGc,
-    NoTouch,
+    BackgroundObjectGc, Collector, FullCopyingGc, GcCostModel, GroupingGc, MarvinGc, MemoryTouch,
+    MinorGc, NoTouch,
 };
 use fleet_heap::{reachable_set, AllocContext, Heap, HeapConfig, ObjectId};
+use fleet_sim::SimDuration;
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU32, Ordering};
+
+const CASES: u32 = 48;
+/// Cases of `any_collector_interleaving_is_sound` run so far, and the
+/// collections among them whose evacuation aborted.
+static CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static ABORTED: AtomicU32 = AtomicU32::new(0);
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -27,8 +37,30 @@ enum Op {
     /// Flip the allocation context (foreground ↔ background).
     FlipContext,
     /// Run a collector: 0=full, 1=minor, 2=bgc, 3=grouping(full),
-    /// 4=grouping(incremental), 5=marvin.
-    Collect { which: u8 },
+    /// 4=grouping(incremental), 5=marvin. `grants` caps the copies the
+    /// collection may make (see [`Budget`]).
+    Collect { which: u8, grants: Option<u8> },
+}
+
+/// Grants `Some(k)` copies and then denies every further one, like a
+/// device whose DRAM runs out mid-evacuation; `None` always grants.
+struct Budget(Option<u8>);
+
+impl MemoryTouch for Budget {
+    fn touch(&mut self, _addr: u64, _size: u32) -> SimDuration {
+        SimDuration::ZERO
+    }
+
+    fn copy_budget(&mut self, _bytes: u64) -> bool {
+        match &mut self.0 {
+            None => true,
+            Some(0) => false,
+            Some(k) => {
+                *k -= 1;
+                true
+            }
+        }
+    }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -41,7 +73,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<u8>()).prop_map(|(from, to)| Op::Link { from, to }),
         any::<u8>().prop_map(|from| Op::Unlink { from }),
         Just(Op::FlipContext),
-        (0u8..6).prop_map(|which| Op::Collect { which }),
+        (0u8..6, prop_oneof![Just(None), (0u8..40).prop_map(Some)])
+            .prop_map(|(which, grants)| Op::Collect { which, grants }),
     ]
 }
 
@@ -56,7 +89,7 @@ fn pick(heap: &Heap, index: u8) -> Option<ObjectId> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
     fn any_collector_interleaving_is_sound(ops in proptest::collection::vec(op_strategy(), 1..120)) {
@@ -97,28 +130,25 @@ proptest! {
                     };
                     heap.set_context(next);
                 }
-                Op::Collect { which } => {
+                Op::Collect { which, grants } => {
                     let live_before = reachable_set(&heap);
-                    match which {
-                        0 => {
-                            FullCopyingGc::new(GcCostModel::default()).collect(&mut heap, &mut NoTouch);
-                        }
-                        1 => {
-                            MinorGc::new(GcCostModel::default()).collect(&mut heap, &mut NoTouch);
-                        }
-                        2 => {
-                            BackgroundObjectGc::new(GcCostModel::default()).collect(&mut heap, &mut NoTouch);
-                        }
+                    let touch = &mut Budget(grants);
+                    let stats = match which {
+                        0 => FullCopyingGc::new(GcCostModel::default()).collect(&mut heap, touch),
+                        1 => MinorGc::new(GcCostModel::default()).collect(&mut heap, touch),
+                        2 => BackgroundObjectGc::new(GcCostModel::default()).collect(&mut heap, touch),
                         3 | 4 => {
                             let incremental = which == 4 && groupings > 0;
                             groupings += 1;
                             GroupingGc::new(GcCostModel::default(), 2, HashSet::new())
                                 .with_incremental(incremental)
-                                .collect_grouping(&mut heap, &mut NoTouch);
+                                .collect_grouping(&mut heap, touch)
+                                .0
                         }
-                        _ => {
-                            marvin.collect(&mut heap, &mut NoTouch);
-                        }
+                        _ => marvin.collect(&mut heap, touch),
+                    };
+                    if stats.evac_aborted {
+                        ABORTED.fetch_add(1, Ordering::Relaxed);
                     }
                     // Every reachable object survived the collection.
                     for &id in &live_before {
@@ -131,6 +161,12 @@ proptest! {
             // The root never dies; accounting stays coherent.
             prop_assert!(heap.contains(root));
             prop_assert!(heap.live_bytes() <= heap.used_bytes());
+        }
+        // The budgets must keep reaching the aborted-evacuation path.
+        if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == CASES {
+            let aborted = ABORTED.load(Ordering::Relaxed);
+            eprintln!("{aborted} collections aborted their evacuation in {CASES} cases");
+            prop_assert!(aborted > 0, "no collection aborted its evacuation");
         }
     }
 
