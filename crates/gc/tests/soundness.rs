@@ -13,17 +13,19 @@ use fleet_gc::{
     BackgroundObjectGc, Collector, FullCopyingGc, GcCostModel, GroupingGc, MarvinGc, MemoryTouch,
     MinorGc, NoTouch,
 };
-use fleet_heap::{reachable_set, AllocContext, Heap, HeapConfig, ObjectId};
+use fleet_heap::{reachable_set, AllocContext, Heap, HeapConfig, ObjectClass, ObjectId};
 use fleet_sim::SimDuration;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-const CASES: u32 = 48;
-/// Cases of `any_collector_interleaving_is_sound` run so far, and the
-/// collections among them whose evacuation aborted.
+const CASES: u32 = 4096;
+/// Cases of `any_collector_interleaving_is_sound` run so far, and per
+/// copying collector (full, minor, BGC, grouping) the collections among
+/// them whose evacuation aborted. Marvin never copies.
 static CASES_RUN: AtomicU32 = AtomicU32::new(0);
-static ABORTED: AtomicU32 = AtomicU32::new(0);
+static ABORTED: [AtomicU32; 4] =
+    [AtomicU32::new(0), AtomicU32::new(0), AtomicU32::new(0), AtomicU32::new(0)];
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -148,7 +150,7 @@ proptest! {
                         _ => marvin.collect(&mut heap, touch),
                     };
                     if stats.evac_aborted {
-                        ABORTED.fetch_add(1, Ordering::Relaxed);
+                        ABORTED[usize::from(which.min(3))].fetch_add(1, Ordering::Relaxed);
                     }
                     // Every reachable object survived the collection.
                     for &id in &live_before {
@@ -162,11 +164,15 @@ proptest! {
             prop_assert!(heap.contains(root));
             prop_assert!(heap.live_bytes() <= heap.used_bytes());
         }
-        // The budgets must keep reaching the aborted-evacuation path.
+        // The budgets must keep reaching every copying collector's
+        // aborted-evacuation path.
         if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == CASES {
-            let aborted = ABORTED.load(Ordering::Relaxed);
-            eprintln!("{aborted} collections aborted their evacuation in {CASES} cases");
-            prop_assert!(aborted > 0, "no collection aborted its evacuation");
+            let aborted: Vec<u32> = ABORTED.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+            eprintln!(
+                "aborted evacuations in {CASES} cases: full {}, minor {}, BGC {}, grouping {}",
+                aborted[0], aborted[1], aborted[2], aborted[3]
+            );
+            prop_assert!(aborted.iter().all(|&n| n > 0), "a copying collector never aborted");
         }
     }
 
@@ -248,5 +254,70 @@ fn minor_gc_preserves_young_fgo_to_bgo_cards() {
 
     BackgroundObjectGc::new(GcCostModel::default()).collect(&mut heap, &mut NoTouch);
     assert!(heap.contains(bgo), "BGC freed a BGO still referenced by a live young FGO");
+    assert!(heap.validate_refs().is_ok(), "{:?}", heap.validate_refs());
+}
+
+/// Regression: a BGC that aborts its evacuation leaves a BGO in place in an
+/// old region. Its card is the minor GC's only record of its edge to a
+/// young object, so the BGC must keep it, or the next minor GC frees the
+/// young object. `Device` runs a BGC while the app is in the background and
+/// a minor GC once it is back in the foreground.
+#[test]
+fn aborted_bgc_keeps_old_to_young_cards() {
+    let mut heap = Heap::new(HeapConfig::default());
+    let root = heap.alloc(64);
+    heap.add_root(root);
+    heap.set_context(AllocContext::Background);
+    let b = heap.alloc(64);
+    heap.add_ref(root, b);
+    MinorGc::new(GcCostModel::default()).collect(&mut heap, &mut NoTouch);
+
+    let y = heap.alloc(64);
+    heap.add_ref(b, y);
+    let stats =
+        BackgroundObjectGc::new(GcCostModel::default()).collect(&mut heap, &mut Budget(Some(0)));
+    assert!(stats.evac_aborted);
+
+    MinorGc::new(GcCostModel::default()).collect(&mut heap, &mut NoTouch);
+    assert!(heap.contains(y), "the minor GC freed a young object referenced by an in-place BGO");
+    assert!(heap.validate_refs().is_ok(), "{:?}", heap.validate_refs());
+}
+
+/// Regression: a full GC that aborts its evacuation leaves survivors in
+/// their cold regions. An incremental re-grouping treats cold regions as an
+/// untraced boundary and finds their edges only through their cards, so the
+/// full GC must keep the cards of cold objects that reference non-cold
+/// ones. `Device` reaches this through a foreground minor→full escalation
+/// followed by an incremental re-grouping.
+#[test]
+fn aborted_full_gc_keeps_cold_remembered_set() {
+    let mut heap = Heap::new(HeapConfig::default());
+    let root = heap.alloc(64);
+    heap.add_root(root);
+    let c = heap.alloc(64);
+    let y = heap.alloc(64);
+    heap.add_ref(root, c);
+    heap.add_ref(root, y);
+    heap.add_ref(c, y);
+    FullCopyingGc::new(GcCostModel::default()).collect(&mut heap, &mut NoTouch);
+    GroupingGc::new(GcCostModel::default(), 0, HashSet::new())
+        .collect_grouping(&mut heap, &mut NoTouch);
+    let cold = |heap: &Heap, o: ObjectId| heap.object(o).class() == Some(ObjectClass::Cold);
+    assert!(cold(&heap, c) && cold(&heap, y));
+
+    // The DFS visits root, y, c: two grants move root and y, c stays cold.
+    let c_addr = heap.address(c);
+    let stats = FullCopyingGc::new(GcCostModel::default()).collect(&mut heap, &mut Budget(Some(2)));
+    assert!(stats.evac_aborted);
+    assert_eq!(heap.address(c), c_addr, "c must stay in its cold region");
+
+    heap.remove_ref(root, y);
+    GroupingGc::new(GcCostModel::default(), 0, HashSet::new())
+        .with_incremental(true)
+        .collect_grouping(&mut heap, &mut NoTouch);
+    assert!(
+        heap.contains(y),
+        "the incremental grouping freed an object a cold survivor references"
+    );
     assert!(heap.validate_refs().is_ok(), "{:?}", heap.validate_refs());
 }
