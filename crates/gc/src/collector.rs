@@ -1,6 +1,21 @@
-//! The collector interface, cost model and statistics.
+//! The collector interface, cost model and statistics, and the one core
+//! the copying collectors share.
+//!
+//! ART runs one concurrent-copying engine (§2.2), and Fleet's BGC (§5.2)
+//! and RGS grouping (§5.3.1) are policies over it. So are the collectors
+//! here. The full, minor, BGC and grouping collectors each choose three
+//! things: which objects they trace, where each survivor goes and which
+//! cards outlive them. The mechanism is shared:
+//!
+//! * `begin` and `finish` open and close a collection,
+//! * `scan_cards` reads the dirty cards,
+//! * `trace` marks depth-first (the grouping GC keeps its own BFS),
+//! * `evacuate` copies survivors under the embedder's copy budget,
+//! * `sweep_regions` frees the dead and releases emptied regions,
+//! * `dirty_cards` rebuilds a remembered set, and `keep_cards` applies the
+//!   card rule of the collectors that trace the whole (non-cold) heap.
 
-use fleet_heap::{Heap, ObjectId, RegionId};
+use fleet_heap::{AllocContext, Heap, ObjectId, ObjectMarks, Region, RegionId, RegionKind};
 use fleet_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -157,6 +172,210 @@ impl GcStats {
     }
 }
 
+/// Emits a probe record, stamped with the owning pid, into the heap's
+/// `audit` (flight-recorder event) or `obs` (span) log. Each kind compiles
+/// to nothing without its feature, which is why the helpers here name
+/// feature-only values with a leading `_`: a build without the feature
+/// never reads them.
+macro_rules! probe {
+    (audit, $heap:ident, |$pid:ident| $ev:expr) => {{
+        #[cfg(feature = "audit")]
+        $heap.probes_mut().audit.push(|$pid| $ev);
+    }};
+    (obs, $heap:ident, |$pid:ident| $rec:expr) => {{
+        #[cfg(feature = "obs")]
+        $heap.probes_mut().obs.push(|$pid| $rec);
+    }};
+}
+
+/// Opens a collection of `kind`: charges the base pause, announces it to
+/// the auditor and retires the allocation targets, so that to-regions and
+/// everything allocated after the collection open fresh regions.
+///
+/// `complete` declares the collection's soundness contract to the auditor:
+/// a complete collection (full, Marvin, non-incremental grouping) sweeps the
+/// whole heap, so everything unreachable at start must be gone at the end;
+/// a partial collection (minor, BGC, incremental grouping) only promises
+/// never to free a live object.
+pub(crate) fn begin(heap: &mut Heap, kind: GcKind, _complete: bool, cost: &GcCostModel) -> GcStats {
+    let mut stats = GcStats::new(kind);
+    stats.stw += cost.stw_base;
+    probe!(audit, heap, |pid| fleet_audit::AuditEvent::GcStart {
+        pid,
+        kind: kind.to_string(),
+        complete: _complete,
+    });
+    heap.retire_alloc_targets();
+    stats
+}
+
+/// Closes a compacting collection: post-GC allocations must open fresh
+/// (flagged) regions, not continue into the to-regions survivors were
+/// copied to. Then clears the newly-allocated flags, bumps the epoch,
+/// resizes the heap limit from the live bytes and reports the counters.
+pub(crate) fn finish(heap: &mut Heap, stats: &GcStats) {
+    heap.retire_alloc_targets();
+    heap.clear_newly_allocated_flags();
+    heap.bump_gc_epoch();
+    heap.update_limit_after_gc();
+    audit_gc_end(heap, stats);
+}
+
+/// The region holding `obj`.
+pub(crate) fn region_of(heap: &Heap, obj: ObjectId) -> &Region {
+    heap.region(heap.object(obj).region())
+}
+
+/// The region kind `obj` is allocated into, and copied to by the full and
+/// minor collectors: FGO and BGO keep to their own allocation spaces.
+pub(crate) fn home_kind(heap: &Heap, obj: ObjectId) -> RegionKind {
+    match heap.object(obj).context() {
+        AllocContext::Foreground => RegionKind::Eden,
+        AllocContext::Background => RegionKind::Bg,
+    }
+}
+
+/// Scans every dirty card, charging its cost, and returns the objects on
+/// them that `keep` accepts, in card order.
+pub(crate) fn scan_cards(
+    heap: &Heap,
+    cost: &GcCostModel,
+    stats: &mut GcStats,
+    keep: impl Fn(ObjectId) -> bool,
+) -> Vec<ObjectId> {
+    let mut found = Vec::new();
+    for card in heap.cards().dirty_cards() {
+        stats.cards_scanned += 1;
+        stats.cpu += cost.per_card_scan;
+        found.extend(heap.objects_in_card(card).into_iter().filter(|&o| keep(o)));
+    }
+    found
+}
+
+/// Charges one traced object: the GC thread reads it at its current
+/// address (which faults a swapped page back in) and scans it.
+pub(crate) fn visit(
+    heap: &Heap,
+    cost: &GcCostModel,
+    touch: &mut dyn MemoryTouch,
+    stats: &mut GcStats,
+    obj: ObjectId,
+) {
+    stats.fault_stall += touch.touch(heap.address(obj), heap.object(obj).size());
+    stats.cpu += cost.per_object_trace;
+    stats.objects_traced += 1;
+}
+
+/// What [`trace`] found.
+pub(crate) struct Traced {
+    /// The live in-scope objects in visit order: the evacuation order.
+    pub order: Vec<ObjectId>,
+    /// Marks of `order`.
+    pub live: ObjectMarks,
+    /// The out-of-scope roots and boundary objects scanned one hop.
+    pub sources: ObjectMarks,
+}
+
+/// Marks the live objects `in_scope` accepts, depth-first from the roots
+/// and then from `boundary`. A seed out of scope is a one-hop source: it is
+/// touched and its references are scanned, but nothing out of scope is
+/// followed further. References out of scope count as live without being
+/// accessed. The mark sets are dense bitmaps over arena slots.
+pub(crate) fn trace(
+    heap: &Heap,
+    cost: &GcCostModel,
+    touch: &mut dyn MemoryTouch,
+    stats: &mut GcStats,
+    boundary: &[ObjectId],
+    in_scope: impl Fn(ObjectId) -> bool,
+) -> Traced {
+    let mut t = Traced {
+        order: Vec::new(),
+        live: ObjectMarks::for_heap(heap),
+        sources: ObjectMarks::for_heap(heap),
+    };
+    let mut stack = Vec::new();
+    let mut scan = |obj, live: &mut ObjectMarks, stack: &mut Vec<ObjectId>| {
+        visit(heap, cost, touch, stats, obj);
+        for &next in heap.object(obj).refs() {
+            if in_scope(next) && live.insert(next) {
+                stack.push(next);
+            }
+        }
+    };
+    for &obj in heap.roots().iter().chain(boundary) {
+        if in_scope(obj) {
+            if t.live.insert(obj) {
+                stack.push(obj);
+            }
+        } else if t.sources.insert(obj) {
+            scan(obj, &mut t.live, &mut stack);
+        }
+    }
+    while let Some(obj) = stack.pop() {
+        t.order.push(obj);
+        scan(obj, &mut t.live, &mut stack);
+    }
+    t
+}
+
+/// Ends the mark phase, then copies `order` to to-regions of the kind
+/// `dest` picks for each object; `dest` runs after the budget check and may
+/// also reclassify the object. Returns how many objects were copied.
+///
+/// Every copy first asks the embedder for budget. A denial (DRAM too low to
+/// back another to-region page under an armed fault plan) aborts the
+/// evacuation: that object and every later one, `order[copied..]`, stay at
+/// their pre-copy addresses, and the collection degrades to an in-place
+/// sweep. The trace was exact, so soundness is unaffected; only compaction
+/// is lost until a later collection retries. The abort is announced as an
+/// `EvacAbort` event naming the first denied object's region.
+pub(crate) fn evacuate(
+    heap: &mut Heap,
+    cost: &GcCostModel,
+    touch: &mut dyn MemoryTouch,
+    stats: &mut GcStats,
+    order: &[ObjectId],
+    mut dest: impl FnMut(&mut Heap, ObjectId) -> RegionKind,
+) -> usize {
+    let mark_end = stats.duration();
+    let (traced, cards, full) =
+        (stats.objects_traced, stats.cards_scanned, stats.kind == GcKind::Full);
+    // The full GC scans no cards, so its span carries no card count.
+    obs_gc_phase(heap, "gc_mark", 1, SimDuration::ZERO, mark_end, || {
+        let cards = (!full).then_some(("cards", cards));
+        [("objects", traced)].into_iter().chain(cards).collect()
+    });
+    let mut copied = order.len();
+    for (i, &obj) in order.iter().enumerate() {
+        let size = u64::from(heap.object(obj).size());
+        if !touch.copy_budget(size) {
+            copied = i;
+            break;
+        }
+        let kind = dest(heap, obj);
+        heap.copy_object(obj, kind);
+        stats.bytes_copied += size;
+        stats.cpu += cost.copy_cost(size);
+    }
+    let copy_dur = stats.duration().saturating_sub(mark_end);
+    let bytes = stats.bytes_copied;
+    obs_gc_phase(heap, "gc_copy", 1, mark_end, copy_dur, || vec![("bytes", bytes)]);
+    if let Some(&denied) = order.get(copied) {
+        stats.evac_aborted = true;
+        let (region, left) = (heap.object(denied).region().0, (order.len() - copied) as u64);
+        probe!(audit, heap, |pid| fleet_audit::AuditEvent::EvacAbort {
+            pid,
+            region,
+            objects_left: left,
+        });
+        obs_gc_phase(heap, "gc_evac_abort", 2, copy_dur, SimDuration::ZERO, || {
+            vec![("region", u64::from(region)), ("objects_left", left)]
+        });
+    }
+    copied
+}
+
 /// Sweeps each from-region with [`Heap::sweep_region`]: objects `is_live`
 /// rejects are garbage, and regions left empty are released (all of them,
 /// unless the evacuation aborted). Tallies what was reclaimed in `stats`.
@@ -174,33 +393,49 @@ pub(crate) fn sweep_regions(
     }
 }
 
-/// Emits a probe record, stamped with the owning pid, into the heap's
-/// `audit` (flight-recorder event) or `obs` (span) log. Each kind compiles
-/// to nothing without its feature, which is why the helpers below take
-/// `_`-prefixed parameters: a build without the feature never reads them.
-macro_rules! probe {
-    (audit, $heap:ident, |$pid:ident| $ev:expr) => {{
-        #[cfg(feature = "audit")]
-        $heap.probes_mut().audit.push(|$pid| $ev);
-    }};
-    (obs, $heap:ident, |$pid:ident| $rec:expr) => {{
-        #[cfg(feature = "obs")]
-        $heap.probes_mut().obs.push(|$pid| $rec);
-    }};
+/// Dirties the card of each of `objs` that `keep` accepts: the part of a
+/// remembered set a collection rebuilds after clearing the card table.
+pub(crate) fn dirty_cards(
+    heap: &mut Heap,
+    objs: impl IntoIterator<Item = ObjectId>,
+    keep: impl Fn(&Heap, ObjectId) -> bool,
+) {
+    for obj in objs {
+        if keep(heap, obj) {
+            let (addr, size) = (heap.address(obj), u64::from(heap.object(obj).size()));
+            heap.cards_mut().dirty_range(addr, size);
+        }
+    }
 }
 
-/// Emits a [`GcStart`](fleet_audit::AuditEvent::GcStart) event.
+/// Rebuilds the cards of the `survivors` of a collection that traced the
+/// whole non-cold heap (the full GC and the grouping GC). The old→young set
+/// was consumed, so a survivor keeps its card only for an edge a partial
+/// collector cannot find without it:
 ///
-/// `complete` declares the collection's soundness contract to the auditor:
-/// a complete collection (full, Marvin, non-incremental grouping) sweeps the
-/// whole heap, so everything unreachable at start must be gone at the end;
-/// a partial collection (minor, BGC, incremental grouping) only promises
-/// never to free a live object.
-pub(crate) fn audit_gc_start(_heap: &mut Heap, _kind: GcKind, _complete: bool) {
-    probe!(audit, _heap, |pid| fleet_audit::AuditEvent::GcStart {
-        pid,
-        kind: _kind.to_string(),
-        complete: _complete,
+/// * an FGO→BGO edge: the next BGC does not trace the foreground heap,
+/// * an edge out of a cold region to a non-cold object: the next
+///   incremental re-grouping treats cold regions as an untraced boundary,
+///   so the edge may be the only path keeping its target alive. After a
+///   clean full GC no cold region is left; after an aborted one, survivors
+///   stay in theirs.
+///
+/// A rule whose region kind the heap no longer maps cannot fire, and is
+/// skipped without reading the survivors.
+pub(crate) fn keep_cards(heap: &mut Heap, survivors: &[ObjectId]) {
+    let maps = |kind| heap.regions().any(|r| r.kind() == kind);
+    let (bg, cold) = (maps(RegionKind::Bg), maps(RegionKind::Cold));
+    if !bg && !cold {
+        return;
+    }
+    dirty_cards(heap, survivors.iter().copied(), |heap, obj| {
+        let o = heap.object(obj);
+        let kind = |r: &ObjectId| region_of(heap, *r).kind();
+        (bg && o.context() == AllocContext::Foreground
+            && o.refs().iter().any(|r| kind(r) == RegionKind::Bg))
+            || (cold
+                && region_of(heap, obj).kind() == RegionKind::Cold
+                && o.refs().iter().any(|r| kind(r) != RegionKind::Cold))
     });
 }
 
@@ -218,24 +453,12 @@ pub(crate) fn audit_gc_end(_heap: &mut Heap, _stats: &GcStats) {
     });
 }
 
-/// Emits an [`EvacAbort`](fleet_audit::AuditEvent::EvacAbort) event when a
-/// copying collector runs out of copy budget mid-evacuation: `region` is the
-/// from-region of the first object denied, `objects_left` the live objects
-/// left in place.
-pub(crate) fn audit_evac_abort(_heap: &mut Heap, _region: u32, _objects_left: u64) {
-    probe!(audit, _heap, |pid| fleet_audit::AuditEvent::EvacAbort {
-        pid,
-        region: _region,
-        objects_left: _objects_left,
-    });
-}
-
 /// Pushes one GC phase span into the heap's obs log: `"gc_mark"` /
 /// `"gc_copy"` at depth 1 (placed by the device layer under its
 /// per-collection root span), `"gc_evac_abort"` at depth 2 inside the copy
 /// phase. `rel_start` is the offset from the parent span's start; `args` is
 /// only evaluated if the log is actually recording.
-pub(crate) fn obs_gc_phase(
+fn obs_gc_phase(
     _heap: &mut Heap,
     _name: &'static str,
     _depth: u8,
@@ -260,9 +483,6 @@ pub(crate) fn obs_gc_phase(
 pub trait Collector {
     /// Runs one collection, reporting object touches to `touch`.
     fn collect(&mut self, heap: &mut Heap, touch: &mut dyn MemoryTouch) -> GcStats;
-
-    /// The collector's kind tag.
-    fn kind(&self) -> GcKind;
 }
 
 #[cfg(test)]

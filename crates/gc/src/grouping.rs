@@ -18,14 +18,13 @@
 //! address ranges of each group for the `madvise` calls of §5.3.2.
 
 use crate::collector::{
-    audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, sweep_regions, GcCostModel,
-    GcKind, GcStats, MemoryTouch,
+    begin, dirty_cards, evacuate, finish, keep_cards, scan_cards, sweep_regions, visit,
+    GcCostModel, GcKind, GcStats, MemoryTouch,
 };
 use fleet_heap::{
     AllocContext, DepthMap, Heap, ObjectClass, ObjectId, ObjectMarks, RegionId, RegionKind,
     RegionSet,
 };
-use fleet_sim::SimDuration;
 use std::collections::HashSet;
 
 /// Byte ranges of the grouped pages plus per-class tallies.
@@ -84,11 +83,6 @@ impl GroupingGc {
         self
     }
 
-    /// The configured NRO depth parameter D.
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
     /// Runs the grouping collection.
     ///
     /// Returns both the GC statistics and the [`GroupingOutcome`] describing
@@ -100,10 +94,8 @@ impl GroupingGc {
         heap: &mut Heap,
         touch: &mut dyn MemoryTouch,
     ) -> (GcStats, GroupingOutcome) {
-        let mut stats = GcStats::new(GcKind::Grouping);
+        let mut stats = begin(heap, GcKind::Grouping, !self.incremental, &self.cost);
         let mut outcome = GroupingOutcome::default();
-        stats.stw += self.cost.stw_base;
-        audit_gc_start(heap, GcKind::Grouping, !self.incremental);
 
         // Incremental mode: existing cold regions stay in place untouched.
         let kept_cold: RegionSet = if self.incremental {
@@ -119,23 +111,14 @@ impl GroupingGc {
         let fyo_regions: RegionSet =
             heap.regions().filter(|r| r.newly_allocated()).map(|r| r.id()).collect();
 
-        heap.retire_alloc_targets();
-
         // Dirty cards over kept cold regions: modified cold objects may
         // reference new objects; scan them (they are resident — recently
         // written) without tracing the rest of the cold space.
         let mut cold_sources: Vec<ObjectId> = Vec::new();
         if self.incremental {
-            let dirty: Vec<usize> = heap.cards().dirty_cards().collect();
-            for card in dirty {
-                stats.cards_scanned += 1;
-                stats.cpu += self.cost.per_card_scan;
-                for obj in heap.objects_in_card(card) {
-                    if kept_cold.contains(heap.object(obj).region()) {
-                        cold_sources.push(obj);
-                    }
-                }
-            }
+            cold_sources = scan_cards(heap, &self.cost, &mut stats, |o| {
+                kept_cold.contains(heap.object(o).region())
+            });
             cold_sources.sort_unstable();
             cold_sources.dedup();
         }
@@ -151,9 +134,7 @@ impl GroupingGc {
         // Modified cold objects seed the queue's frontier as depth-boundary
         // sources: their references are scanned but they stay in place.
         for &src in &cold_sources {
-            stats.fault_stall += touch.touch(heap.address(src), heap.object(src).size());
-            stats.cpu += self.cost.per_object_trace;
-            stats.objects_traced += 1;
+            visit(heap, &self.cost, touch, &mut stats, src);
             for &next in heap.object(src).refs() {
                 if !kept_cold.contains(heap.object(next).region()) {
                     // Conservative depth: beyond the NRO horizon.
@@ -164,9 +145,7 @@ impl GroupingGc {
         let mut head = 0;
         while let Some((obj, d)) = depths.queued(head) {
             head += 1;
-            stats.fault_stall += touch.touch(heap.address(obj), heap.object(obj).size());
-            stats.cpu += self.cost.per_object_trace;
-            stats.objects_traced += 1;
+            visit(heap, &self.cost, touch, &mut stats, obj);
             for &next in heap.object(obj).refs() {
                 // Kept cold objects are a live boundary: kept in place,
                 // never accessed.
@@ -176,35 +155,18 @@ impl GroupingGc {
             }
         }
 
-        let mark_end = stats.cpu + stats.fault_stall;
-        let traced = stats.objects_traced;
-        obs_gc_phase(heap, "gc_mark", 1, SimDuration::ZERO, mark_end, || {
-            vec![("objects", traced), ("cards", stats.cards_scanned)]
-        });
-
         // Classify and copy. BGO stay in background regions; FGO are grouped.
         // A copy-budget denial aborts the grouping mid-way: objects not yet
         // copied keep their old placement and class (no grouping benefit,
-        // but nothing moves without a backing frame) and the tallies below
+        // but nothing moves without a backing frame) and the tallies
         // honestly reflect only what was actually grouped.
-        let mut abort_obs: Option<(SimDuration, u32, u64)> = None;
-        for (i, (obj, d)) in depths.iter().enumerate() {
+        evacuate(heap, &self.cost, touch, &mut stats, depths.order(), |heap, obj| {
             let size = heap.object(obj).size() as u64;
-            if !touch.copy_budget(size) {
-                audit_evac_abort(heap, heap.object(obj).region().0, (depths.len() - i) as u64);
-                stats.evac_aborted = true;
-                abort_obs = Some((
-                    (stats.cpu + stats.fault_stall).saturating_sub(mark_end),
-                    heap.object(obj).region().0,
-                    (depths.len() - i) as u64,
-                ));
-                break;
-            }
             let context = heap.object(obj).context();
             let (dest, class) = if context == AllocContext::Background {
                 (RegionKind::Bg, None)
             } else {
-                let is_nro = d <= self.depth;
+                let is_nro = depths.get(obj).is_some_and(|d| d <= self.depth);
                 let is_fyo = fyo_regions.contains(heap.object(obj).region());
                 if is_nro {
                     outcome.nro_objects += 1;
@@ -227,19 +189,9 @@ impl GroupingGc {
                     (RegionKind::Cold, Some(ObjectClass::Cold))
                 }
             };
-            heap.copy_object(obj, dest);
             heap.set_class(obj, class);
-            stats.bytes_copied += size;
-            stats.cpu += self.cost.copy_cost(size);
-        }
-        let copy_dur = (stats.cpu + stats.fault_stall).saturating_sub(mark_end);
-        let copied = stats.bytes_copied;
-        obs_gc_phase(heap, "gc_copy", 1, mark_end, copy_dur, || vec![("bytes", copied)]);
-        if let Some((rel, region, left)) = abort_obs {
-            obs_gc_phase(heap, "gc_evac_abort", 2, rel, SimDuration::ZERO, || {
-                vec![("region", u64::from(region)), ("objects_left", left)]
-            });
-        }
+            dest
+        });
 
         // Sweep the from-space: unmarked objects are garbage; regions are
         // released only once empty (always, unless the evacuation aborted).
@@ -258,55 +210,13 @@ impl GroupingGc {
         }
 
         // Cards moved with the objects: clear, then rebuild the remembered
-        // sets the incremental collectors rely on:
-        //
-        //  * any FGO referencing a *background* object (a following BGC must
-        //    find the edge without tracing the foreground heap),
-        //  * any object placed in a **cold** region that references a
-        //    non-cold object (a following *incremental* re-grouping treats
-        //    cold regions as an untraced boundary, so such an edge may be
-        //    the only path keeping the target alive),
-        //  * the cold sources scanned this round (their edges stay relevant
-        //    until a full grouping re-examines the cold space).
-        let cold_source_spans: Vec<(u64, u64)> =
-            cold_sources.iter().map(|&o| (heap.address(o), heap.object(o).size() as u64)).collect();
+        // sets the incremental collectors rely on: the cold sources scanned
+        // this round (their edges stay relevant until a full grouping
+        // re-examines the cold space) and the survivors' (`keep_cards`).
         heap.cards_mut().clear();
-        for (addr, size) in cold_source_spans {
-            heap.cards_mut().dirty_range(addr, size);
-        }
-        let bg_regions: RegionSet =
-            heap.regions().filter(|r| r.kind() == RegionKind::Bg).map(|r| r.id()).collect();
-        let needs_card: Vec<ObjectId> = depths
-            .iter()
-            .map(|(o, _)| o)
-            .filter(|&o| {
-                let obj = heap.object(o);
-                let refs_bgo = obj.context() == AllocContext::Foreground
-                    && obj.refs().iter().any(|&r| bg_regions.contains(heap.object(r).region()));
-                if refs_bgo {
-                    return true;
-                }
-                let in_cold = heap.region(obj.region()).kind() == RegionKind::Cold;
-                in_cold
-                    && obj
-                        .refs()
-                        .iter()
-                        .any(|&r| heap.region(heap.object(r).region()).kind() != RegionKind::Cold)
-            })
-            .collect();
-        for obj in needs_card {
-            let addr = heap.address(obj);
-            let size = heap.object(obj).size() as u64;
-            heap.cards_mut().dirty_range(addr, size);
-        }
-
-        // Post-GC allocations must open fresh (flagged) regions, not
-        // continue into the to-regions that survivors were copied to.
-        heap.retire_alloc_targets();
-        heap.clear_newly_allocated_flags();
-        heap.bump_gc_epoch();
-        heap.update_limit_after_gc();
-        audit_gc_end(heap, &stats);
+        dirty_cards(heap, cold_sources, |_, _| true);
+        keep_cards(heap, depths.order());
+        finish(heap, &stats);
         (stats, outcome)
     }
 }
@@ -314,10 +224,6 @@ impl GroupingGc {
 impl crate::collector::Collector for GroupingGc {
     fn collect(&mut self, heap: &mut Heap, touch: &mut dyn MemoryTouch) -> GcStats {
         self.collect_grouping(heap, touch).0
-    }
-
-    fn kind(&self) -> GcKind {
-        GcKind::Grouping
     }
 }
 

@@ -21,9 +21,7 @@
 //! fragmentation persists — its heap limit tracks *used* rather than live
 //! bytes.
 
-use crate::collector::{
-    audit_gc_end, audit_gc_start, Collector, GcCostModel, GcKind, GcStats, MemoryTouch,
-};
+use crate::collector::{audit_gc_end, begin, Collector, GcCostModel, GcKind, GcStats, MemoryTouch};
 use fleet_heap::{Heap, ObjectId, ObjectMarks, PAGE_SIZE};
 
 /// Marvin's persistent bookmarking state: which objects are swapped out and
@@ -43,11 +41,6 @@ impl MarvinState {
     /// Marvin with 1024 bytes, §6).
     pub fn new(threshold: u32) -> Self {
         MarvinState { threshold, swapped: ObjectMarks::default() }
-    }
-
-    /// The large-object threshold in bytes.
-    pub fn threshold(&self) -> u32 {
-        self.threshold
     }
 
     /// True if `obj` is eligible for object-granularity swap.
@@ -167,11 +160,9 @@ impl MarvinGc {
 
 impl Collector for MarvinGc {
     fn collect(&mut self, heap: &mut Heap, touch: &mut dyn MemoryTouch) -> GcStats {
-        let mut stats = GcStats::new(GcKind::Marvin);
+        let mut stats = begin(heap, GcKind::Marvin, true, &self.cost);
         // Drawback (i): reconciling stubs with objects needs a long pause.
-        stats.stw +=
-            self.cost.stw_base + self.cost.marvin_per_stub_stw * self.state.stub_count() as u64;
-        audit_gc_start(heap, GcKind::Marvin, true);
+        stats.stw += self.cost.marvin_per_stub_stw * self.state.stub_count() as u64;
 
         // Mark phase: bookmarked objects are traversed via their resident
         // stubs (reference metadata) without touching object memory. The
@@ -205,7 +196,6 @@ impl Collector for MarvinGc {
                 heap.free_object(obj);
             }
         }
-        heap.retire_alloc_targets();
         let empty: Vec<_> = heap.regions().filter(|r| r.is_empty()).map(|r| r.id()).collect();
         for rid in empty {
             heap.free_region(rid);
@@ -216,9 +206,6 @@ impl Collector for MarvinGc {
         // set is the stub table), so the cards are left untouched: clearing
         // them would silently destroy the remembered sets other collectors
         // rely on. Non-moving, so no card addresses went stale either.
-        // Post-GC allocations must open fresh (flagged) regions, not
-        // continue into the to-regions that survivors were copied to.
-        heap.retire_alloc_targets();
         heap.clear_newly_allocated_flags();
         heap.bump_gc_epoch();
         // Non-moving: fragmentation cannot be compacted away, so the trigger
@@ -227,10 +214,6 @@ impl Collector for MarvinGc {
         heap.set_limit((heap.used_bytes() as f64 * factor) as u64);
         audit_gc_end(heap, &stats);
         stats
-    }
-
-    fn kind(&self) -> GcKind {
-        GcKind::Marvin
     }
 }
 

@@ -6,11 +6,10 @@
 //! card table — old regions are *not* traced wholesale.
 
 use crate::collector::{
-    audit_evac_abort, audit_gc_end, audit_gc_start, obs_gc_phase, sweep_regions, Collector,
-    GcCostModel, GcKind, GcStats, MemoryTouch,
+    begin, dirty_cards, evacuate, finish, home_kind, region_of, scan_cards, sweep_regions, trace,
+    Collector, GcCostModel, GcKind, GcStats, MemoryTouch,
 };
-use fleet_heap::{AllocContext, Heap, ObjectId, ObjectMarks, RegionId, RegionKind, RegionSet};
-use fleet_sim::SimDuration;
+use fleet_heap::{Heap, ObjectId, RegionId, RegionKind, RegionSet};
 
 /// The minor (young-generation) collector.
 ///
@@ -41,160 +40,47 @@ impl MinorGc {
 
 impl Collector for MinorGc {
     fn collect(&mut self, heap: &mut Heap, touch: &mut dyn MemoryTouch) -> GcStats {
-        let mut stats = GcStats::new(GcKind::Minor);
-        stats.stw += self.cost.stw_base;
-        audit_gc_start(heap, GcKind::Minor, false);
-
+        let mut stats = begin(heap, GcKind::Minor, false, &self.cost);
         let young_regions: Vec<RegionId> =
             heap.regions().filter(|r| r.newly_allocated()).map(|r| r.id()).collect();
-        let young_set: RegionSet = young_regions.iter().copied().collect();
-        heap.retire_alloc_targets();
+        let young: RegionSet = young_regions.iter().copied().collect();
+        let is_young = |obj: ObjectId| young.contains(heap.object(obj).region());
 
-        let is_young = |heap: &Heap, obj: ObjectId| young_set.contains(heap.object(obj).region());
+        // Trace young liveness from the roots and from the old objects on
+        // dirty cards (possible old→young references). Old objects act as
+        // one-hop sources: their refs are scanned (the object itself was
+        // recently written, hence resident) but old→old edges stop there.
+        let boundary = scan_cards(heap, &self.cost, &mut stats, |o| !is_young(o));
+        let traced = trace(heap, &self.cost, touch, &mut stats, &boundary, is_young);
 
-        // Old objects holding possible old→young references: the dirty cards.
-        let mut boundary: Vec<ObjectId> = Vec::new();
-        let dirty: Vec<usize> = heap.cards().dirty_cards().collect();
-        for card in dirty {
-            stats.cards_scanned += 1;
-            stats.cpu += self.cost.per_card_scan;
-            for obj in heap.objects_in_card(card) {
-                if !is_young(heap, obj) {
-                    boundary.push(obj);
-                }
-            }
-        }
+        // A copy-budget denial promotes the remaining survivors in place
+        // (their region just loses its newly-allocated flag).
+        evacuate(heap, &self.cost, touch, &mut stats, &traced.order, |h, o| home_kind(h, o));
+        sweep_regions(heap, &young_regions, |o| traced.live.contains(o), &mut stats);
 
-        // Trace young liveness from roots + carded old objects. Old objects
-        // act as one-hop sources: their refs are scanned (the object itself
-        // was recently written, hence resident) but old→old edges stop there.
-        // Mark state lives in dense arena-slot bitmaps instead of hash sets.
-        let mut live = ObjectMarks::for_heap(heap);
-        let mut order: Vec<ObjectId> = Vec::new();
-        let mut stack: Vec<ObjectId> = Vec::new();
-        let seed = |heap: &Heap,
-                    obj: ObjectId,
-                    stats: &mut GcStats,
-                    touch: &mut dyn MemoryTouch,
-                    live: &mut ObjectMarks,
-                    stack: &mut Vec<ObjectId>| {
-            stats.fault_stall += touch.touch(heap.address(obj), heap.object(obj).size());
-            stats.cpu += self.cost.per_object_trace;
-            stats.objects_traced += 1;
-            for &next in heap.object(obj).refs() {
-                if young_set.contains(heap.object(next).region()) && live.insert(next) {
-                    stack.push(next);
-                }
-            }
+        // Card aging, with the same preservation rules as BGC: sources that
+        // reference background objects keep their cards (BGC's remembered
+        // set), and sources in *cold* regions keep theirs unconditionally
+        // (the incremental re-grouping remembered set — see
+        // `GroupingGc::with_incremental`). Young survivors outside
+        // background regions need the same BGC rule: a young FGO holding the
+        // only edge to a BGO had a dirty card from the write barrier, and
+        // dropping it here would let the next BGC free a reachable BGO.
+        let kind = |h: &Heap, o: ObjectId| region_of(h, o).kind();
+        let refs_bgo = |h: &Heap, o: ObjectId| {
+            h.object(o).refs().iter().any(|&r| kind(h, r) == RegionKind::Bg)
         };
-        let roots: Vec<ObjectId> = heap.roots().to_vec();
-        let mut seeded = ObjectMarks::for_heap(heap);
-        for obj in roots.iter().copied().chain(boundary.iter().copied()) {
-            if is_young(heap, obj) {
-                if live.insert(obj) {
-                    stack.push(obj);
-                }
-            } else if seeded.insert(obj) {
-                seed(heap, obj, &mut stats, touch, &mut live, &mut stack);
-            }
-        }
-        while let Some(obj) = stack.pop() {
-            order.push(obj);
-            stats.fault_stall += touch.touch(heap.address(obj), heap.object(obj).size());
-            stats.cpu += self.cost.per_object_trace;
-            stats.objects_traced += 1;
-            for &next in heap.object(obj).refs() {
-                if young_set.contains(heap.object(next).region()) && live.insert(next) {
-                    stack.push(next);
-                }
-            }
-        }
-
-        let mark_end = stats.cpu + stats.fault_stall;
-        let traced = stats.objects_traced;
-        obs_gc_phase(heap, "gc_mark", 1, SimDuration::ZERO, mark_end, || {
-            vec![("objects", traced), ("cards", stats.cards_scanned)]
-        });
-
-        // Evacuate young survivors, then sweep the young from-regions. A
-        // copy-budget denial aborts the evacuation: remaining survivors are
-        // promoted in place (their region just loses its newly-allocated
-        // flag) and only proven-dead objects are swept.
-        let mut abort_obs: Option<(SimDuration, u32, u64)> = None;
-        for (i, &obj) in order.iter().enumerate() {
-            let size = heap.object(obj).size() as u64;
-            if !touch.copy_budget(size) {
-                audit_evac_abort(heap, heap.object(obj).region().0, (order.len() - i) as u64);
-                stats.evac_aborted = true;
-                abort_obs = Some((
-                    (stats.cpu + stats.fault_stall).saturating_sub(mark_end),
-                    heap.object(obj).region().0,
-                    (order.len() - i) as u64,
-                ));
-                break;
-            }
-            let dest = match heap.object(obj).context() {
-                AllocContext::Foreground => RegionKind::Eden,
-                AllocContext::Background => RegionKind::Bg,
-            };
-            heap.copy_object(obj, dest);
-            stats.bytes_copied += size;
-            stats.cpu += self.cost.copy_cost(size);
-        }
-        let copy_dur = (stats.cpu + stats.fault_stall).saturating_sub(mark_end);
-        let copied = stats.bytes_copied;
-        obs_gc_phase(heap, "gc_copy", 1, mark_end, copy_dur, || vec![("bytes", copied)]);
-        if let Some((rel, region, left)) = abort_obs {
-            obs_gc_phase(heap, "gc_evac_abort", 2, rel, SimDuration::ZERO, || {
-                vec![("region", u64::from(region)), ("objects_left", left)]
-            });
-        }
-        sweep_regions(heap, &young_regions, |o| live.contains(o), &mut stats);
-
-        // Card aging, with the same preservation rules as BGC: boundary
-        // objects that reference background objects keep their cards (BGC's
-        // remembered set), and boundary objects in *cold* regions keep
-        // theirs unconditionally (the incremental re-grouping remembered
-        // set — see `GroupingGc::with_incremental`). Young survivors need
-        // the same BGC rule: a young FGO holding the only edge to a BGO had
-        // a dirty card from the write barrier, and dropping it here would
-        // let the next BGC free a reachable BGO.
         heap.cards_mut().clear();
-        let bg_regions: RegionSet =
-            heap.regions().filter(|r| r.kind() == RegionKind::Bg).map(|r| r.id()).collect();
-        let survivors: Vec<ObjectId> = order
-            .iter()
-            .copied()
-            .filter(|&o| heap.contains(o) && !bg_regions.contains(heap.object(o).region()))
-            .collect();
-        for obj in seeded.iter().chain(survivors) {
-            if !heap.contains(obj) {
-                continue;
-            }
-            let in_cold = heap.region(heap.object(obj).region()).kind() == RegionKind::Cold;
-            let refs_bgo = heap
-                .object(obj)
-                .refs()
-                .iter()
-                .any(|&r| bg_regions.contains(heap.object(r).region()));
-            if in_cold || refs_bgo {
-                let addr = heap.address(obj);
-                let size = heap.object(obj).size() as u64;
-                heap.cards_mut().dirty_range(addr, size);
-            }
-        }
-        // Post-GC allocations must open fresh (flagged) regions, not
-        // continue into the to-regions that survivors were copied to.
-        heap.retire_alloc_targets();
-        heap.clear_newly_allocated_flags();
-        heap.bump_gc_epoch();
-        heap.update_limit_after_gc();
-        audit_gc_end(heap, &stats);
+        dirty_cards(heap, traced.sources.iter(), |h, o| {
+            kind(h, o) == RegionKind::Cold || refs_bgo(h, o)
+        });
+        dirty_cards(heap, traced.order.iter().copied(), |h, o| match kind(h, o) {
+            RegionKind::Bg => false,
+            RegionKind::Cold => true,
+            _ => refs_bgo(h, o),
+        });
+        finish(heap, &stats);
         stats
-    }
-
-    fn kind(&self) -> GcKind {
-        GcKind::Minor
     }
 }
 

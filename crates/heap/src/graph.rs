@@ -53,6 +53,11 @@ impl DepthMap {
         self.order.iter().map(|&id| (id, self.depth[id.0 as usize]))
     }
 
+    /// The reached objects in BFS order.
+    pub fn order(&self) -> &[ObjectId] {
+        &self.order
+    }
+
     /// The `i`-th reached object and its depth. The reached objects are
     /// the search's FIFO queue: its head is the first index not yet
     /// expanded.
