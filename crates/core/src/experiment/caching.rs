@@ -38,7 +38,7 @@ fn synthetic_capacity(
     use_secs: u64,
     seed: u64,
 ) -> Result<CapacityCurve, FleetError> {
-    let config = DeviceConfig::builder(scheme).seed(seed).build().expect("pixel3 variant is valid");
+    let config = DeviceConfig::builder(scheme).seed(seed).build()?;
     let mut device = Device::try_new(config)?;
     let app = synthetic_app(object_size, 180);
     let mut cached = Vec::new();
@@ -96,8 +96,7 @@ pub fn fig11c(
     [SchemeKind::AndroidNoSwap, SchemeKind::Android, SchemeKind::Fleet]
         .into_iter()
         .map(|scheme| {
-            let config =
-                DeviceConfig::builder(scheme).seed(seed).build().expect("pixel3 variant is valid");
+            let config = DeviceConfig::builder(scheme).seed(seed).build()?;
             let mut device = Device::try_new(config)?;
             let apps = catalog();
             let mut pids = std::collections::BTreeMap::new();

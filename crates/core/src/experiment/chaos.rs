@@ -140,34 +140,10 @@ pub fn chaos_devices(
                 .zram_front(512, 2.5)
                 .fault(FaultConfig::silent_corruption(intensity))
                 .integrity(chaos_integrity())
-                .build()
-                .expect("pixel3 variant with chaos knobs is valid");
+                .build()?;
             let mut pool = AppPool::with_config(config, &apps)?;
-            let mut reports = Vec::new();
-            let mut failed_launches = 0u64;
-            let mut attempts = 0usize;
-            // A SIGBUS mid-launch is data (a failed launch), not an error.
-            while reports.len() < launches && attempts < 4 * launches {
-                attempts += 1;
-                let other = pool.next_other_app("Twitter");
-                match pool.launch(&other) {
-                    Ok(_) => {}
-                    Err(FleetError::ProcessNotAlive(_)) => {
-                        failed_launches += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-                pool.device_mut().run(30);
-                match pool.launch("Twitter") {
-                    Ok(report) if report.kind == crate::process::LaunchKind::Hot => {
-                        reports.push(report);
-                    }
-                    Ok(_) => pool.device_mut().run(5), // cold re-warm, not counted
-                    Err(FleetError::ProcessNotAlive(_)) => failed_launches += 1,
-                    Err(e) => return Err(e),
-                }
-            }
+            let (reports, failed_launches) =
+                pool.measure_hot_launches_under_faults("Twitter", launches)?;
             let device = pool.device();
             let stats = device.mm().stats();
             let summary = Summary::from_values(reports.iter().map(|r| r.total.as_millis_f64()));
@@ -350,6 +326,12 @@ mod tests {
             assert!(!r.degraded);
             assert!(r.scrub_passes > 0, "the scrubber runs even on a clean device");
         }
+    }
+
+    #[test]
+    fn out_of_range_intensity_is_a_config_error() {
+        let err = chaos_devices(1, &[2.0], 1).unwrap_err();
+        assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -72,35 +72,10 @@ pub fn resilience(
         let config = DeviceConfig::builder(SchemeKind::Fleet)
             .seed(seed)
             .fault(FaultConfig::flaky_flash(intensity))
-            .build()
-            .expect("pixel3 variant with faults is valid");
+            .build()?;
         let mut pool = AppPool::with_config(config, &apps)?;
-        let mut reports = Vec::new();
-        let mut failed_launches = 0u64;
-        let mut attempts = 0usize;
-        // Like `measure_hot_launches`, but a SIGBUS mid-launch is data (a
-        // failed launch), not an error that aborts the sweep.
-        while reports.len() < launches && attempts < 4 * launches {
-            attempts += 1;
-            let other = pool.next_other_app("Twitter");
-            match pool.launch(&other) {
-                Ok(_) => {}
-                Err(FleetError::ProcessNotAlive(_)) => {
-                    failed_launches += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            pool.device_mut().run(30);
-            match pool.launch("Twitter") {
-                Ok(report) if report.kind == crate::process::LaunchKind::Hot => {
-                    reports.push(report);
-                }
-                Ok(_) => pool.device_mut().run(5), // cold re-warm, not counted
-                Err(FleetError::ProcessNotAlive(_)) => failed_launches += 1,
-                Err(e) => return Err(e),
-            }
-        }
+        let (reports, failed_launches) =
+            pool.measure_hot_launches_under_faults("Twitter", launches)?;
         let device = pool.device();
         let summary = Summary::from_values(reports.iter().map(|r| r.total.as_millis_f64()));
         let stats = device.mm().stats();
@@ -228,6 +203,12 @@ mod tests {
         if row.launches > 0 {
             assert!(row.median_hot_ms > 0.0);
         }
+    }
+
+    #[test]
+    fn out_of_range_intensity_is_a_config_error() {
+        let err = resilience(1, &[1.5], 1).unwrap_err();
+        assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

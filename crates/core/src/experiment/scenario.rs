@@ -187,6 +187,45 @@ impl AppPool {
         Ok(reports)
     }
 
+    /// Like [`AppPool::measure_hot_launches`], but for devices with an armed
+    /// fault plan: a launch lost to a SIGBUS kill
+    /// ([`FleetError::ProcessNotAlive`]) is data, counted as a failed launch,
+    /// not an error that aborts the run. Gives up after `4 * n` attempts.
+    /// Returns the hot-launch reports and the failed-launch count.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::UnknownApp`] if `name` was not in the pool's app list.
+    pub(crate) fn measure_hot_launches_under_faults(
+        &mut self,
+        name: &str,
+        n: usize,
+    ) -> Result<(Vec<LaunchReport>, u64), FleetError> {
+        let mut reports = Vec::new();
+        let mut failed = 0u64;
+        let mut attempts = 0;
+        while reports.len() < n && attempts < 4 * n {
+            attempts += 1;
+            let other = self.next_other(name);
+            match self.launch(&other) {
+                Ok(_) => {}
+                Err(FleetError::ProcessNotAlive(_)) => {
+                    failed += 1;
+                    continue;
+                }
+                Err(e) => return Err(e),
+            }
+            self.device.run(self.usage_gap_secs);
+            match self.launch(name) {
+                Ok(report) if report.kind == LaunchKind::Hot => reports.push(report),
+                Ok(_) => self.device.run(5), // cold re-warm, not counted
+                Err(FleetError::ProcessNotAlive(_)) => failed += 1,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok((reports, failed))
+    }
+
     /// The next app from the usage rotation that is not `not` (advances
     /// the rotation); used by drivers that interleave launches by hand.
     pub fn next_other_app(&mut self, not: &str) -> String {

@@ -39,11 +39,8 @@ pub fn sensitivity(
     for scheme in [SchemeKind::Android, SchemeKind::Fleet] {
         for factor in [1.1, 2.0] {
             // Caching capacity with synthetic apps.
-            let config = DeviceConfig::builder(scheme)
-                .seed(seed)
-                .heap_growth_background(factor)
-                .build()
-                .expect("pixel3 variant is valid");
+            let config =
+                DeviceConfig::builder(scheme).seed(seed).heap_growth_background(factor).build()?;
             let mut device = Device::try_new(config)?;
             let app = synthetic_app(2048, 180);
             let mut max_cached = 0;
@@ -57,8 +54,7 @@ pub fn sensitivity(
             let config = DeviceConfig::builder(scheme)
                 .seed(seed ^ 0x74)
                 .heap_growth_background(factor)
-                .build()
-                .expect("pixel3 variant is valid");
+                .build()?;
             let apps: Vec<String> = ["Twitter", "Facebook", "Youtube", "Chrome", "Spotify"]
                 .iter()
                 .map(|s| s.to_string())
