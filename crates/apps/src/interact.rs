@@ -70,11 +70,6 @@ impl InteractionScript {
             touches: if heavy { 48 } else { 12 },
         }
     }
-
-    /// Number of frames generated so far.
-    pub fn frames_generated(&self) -> u64 {
-        self.frame_index
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +89,6 @@ mod tests {
             (0..n).map(|_| s.next_frame().render_cost.as_millis_f64()).sum::<f64>() / n as f64;
         // Slightly above the base mean because of the heavy frames.
         assert!((5.5..7.5).contains(&mean), "mean frame cost {mean}");
-        assert_eq!(s.frames_generated(), n as u64);
     }
 
     #[test]

@@ -455,10 +455,6 @@ impl Auditor {
                 };
                 targets.swap_remove(pos);
             }
-            RefsCleared { pid, object } => {
-                let heap = dev.heaps.entry(*pid).or_default();
-                heap.refs.remove(object);
-            }
             RootAdded { pid, object } => {
                 let heap = dev.heaps.entry(*pid).or_default();
                 if !heap.objects.contains_key(object) {

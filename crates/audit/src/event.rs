@@ -164,13 +164,6 @@ pub enum AuditEvent {
         /// Target object.
         to: u64,
     },
-    /// All outgoing edges of an object were dropped.
-    RefsCleared {
-        /// Owning process.
-        pid: u32,
-        /// Source object.
-        object: u64,
-    },
     /// An object became a GC root.
     RootAdded {
         /// Owning process.
@@ -448,7 +441,6 @@ impl std::fmt::Display for AuditEvent {
             }
             RefAdded { pid, from, to } => write!(f, "ref_added pid={pid} from={from} to={to}"),
             RefRemoved { pid, from, to } => write!(f, "ref_removed pid={pid} from={from} to={to}"),
-            RefsCleared { pid, object } => write!(f, "refs_cleared pid={pid} object={object}"),
             RootAdded { pid, object } => write!(f, "root_added pid={pid} object={object}"),
             RootRemoved { pid, object } => write!(f, "root_removed pid={pid} object={object}"),
             GcStart { pid, kind, complete } => {

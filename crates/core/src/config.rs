@@ -182,8 +182,8 @@ impl DeviceConfig {
     /// The kernel memory-manager configuration implied by this device.
     ///
     /// Bandwidths are divided by `scale` so that a *scaled* page population
-    /// produces *real-scale* stall times.
-    pub fn mm_config(&self) -> MmConfig {
+    /// produces *real-scale* stall times. Call it only on a validated config.
+    pub(crate) fn mm_config(&self) -> MmConfig {
         let frames = self.app_dram_bytes() / PAGE_SIZE;
         let swap = match self.swap_medium {
             SwapMedium::Flash => SwapConfig {

@@ -215,16 +215,6 @@ impl MemoryTouch for KernelTouch<'_> {
 }
 
 impl Device {
-    /// Creates a device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`DeviceConfig::validate`]; see
-    /// [`Device::try_new`] for the fallible form.
-    pub fn new(config: DeviceConfig) -> Self {
-        Self::try_new(config).expect("invalid device configuration")
-    }
-
     /// Creates a device, or reports why the configuration is invalid.
     ///
     /// # Errors
@@ -570,16 +560,6 @@ impl Device {
         &self.mm
     }
 
-    /// A live process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is not alive; see [`Device::try_process`] for the
-    /// fallible form.
-    pub fn process(&self, pid: Pid) -> &Process {
-        self.try_process(pid).expect("process not alive")
-    }
-
     /// A live process, or [`FleetError::ProcessNotAlive`].
     ///
     /// # Errors
@@ -749,18 +729,8 @@ impl Device {
     }
 
     /// Hot-launches a cached app: background → foreground switch, measured
-    /// as time-to-first-frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is not a live cached process, or if an armed fault
-    /// plan SIGBUS-kills the app mid-launch; under fault injection use
-    /// [`Device::try_switch_to`] and treat the error as a failed launch.
-    pub fn switch_to(&mut self, pid: Pid) -> LaunchReport {
-        self.try_switch_to(pid).expect("switch_to a dead process")
-    }
-
-    /// Hot-launches a cached app, or reports that it is not alive.
+    /// as time-to-first-frame. Under an armed fault plan, treat an error as
+    /// a failed launch.
     ///
     /// # Errors
     ///
@@ -849,7 +819,7 @@ impl Device {
             // The launch GC runs concurrently, but its pauses and its page
             // faults (which share the flash device with launch faults)
             // lengthen the time to first frame.
-            let stats = self.run_gc(pid);
+            let stats = self.collect(pid);
             gc_stw = stats.stw;
             gc_stall = stats.fault_stall;
         }
@@ -1030,7 +1000,7 @@ impl Device {
                 let Some(proc) = self.procs.get_mut(&pid) else { return };
                 proc.cpu.charge(ThreadClass::Mutator, SimDuration::from_secs_f64(dt * 0.35));
                 if proc.heap.should_trigger_gc() {
-                    self.run_gc(pid);
+                    self.collect(pid);
                 }
                 if !self.procs.contains_key(&pid) {
                     return;
@@ -1096,7 +1066,7 @@ impl Device {
         // so each timer re-checks liveness instead of expecting it.
         // Heap-pressure GC.
         if self.procs.get(&pid).is_some_and(|p| p.heap.should_trigger_gc()) {
-            self.run_gc(pid);
+            self.collect(pid);
         }
         // Fleet: grouping GC at +Ts, then periodic HOT_RUNTIME refreshes.
         if self.config.scheme == SchemeKind::Fleet {
@@ -1123,7 +1093,7 @@ impl Device {
         // bookmarking GC under Marvin).
         let due = self.procs.get(&pid).and_then(|p| p.next_bg_gc);
         if due.is_some_and(|t| now >= t) {
-            self.run_gc(pid);
+            self.collect(pid);
             if let Some(proc) = self.procs.get_mut(&pid) {
                 proc.next_bg_gc = Some(now + self.config.bg_gc_interval);
             }
@@ -1131,16 +1101,6 @@ impl Device {
     }
 
     // ------------------------------------------------------------------- GC
-
-    /// Runs the scheme-appropriate collector for `pid` now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is not alive; see [`Device::try_run_gc`] for the
-    /// fallible form.
-    pub fn run_gc(&mut self, pid: Pid) -> GcStats {
-        self.try_run_gc(pid).expect("run_gc on a dead process")
-    }
 
     /// Runs the scheme-appropriate collector for `pid` now, or reports that
     /// the process is not alive.
@@ -1150,10 +1110,16 @@ impl Device {
     /// Returns [`FleetError::ProcessNotAlive`] if `pid` has been killed or
     /// never existed.
     pub fn try_run_gc(&mut self, pid: Pid) -> Result<GcStats, FleetError> {
+        self.try_process(pid)?;
+        Ok(self.collect(pid))
+    }
+
+    /// Runs the scheme-appropriate collector for the live process `pid`.
+    fn collect(&mut self, pid: Pid) -> GcStats {
         let scheme = self.config.scheme;
-        let state = self.try_process(pid)?.state;
         let (stats, fatal) = {
             let proc = self.procs.get_mut(&pid).expect("alive");
+            let state = proc.state;
             let mut touch = KernelTouch::new(&mut self.mm, pid, &mut self.oom_touch_skips);
             let stats = match scheme {
                 SchemeKind::Marvin => {
@@ -1194,14 +1160,14 @@ impl Device {
             }
             probe!(obs, self.obs_gc_span(pid, &stats));
             self.sigbus_kill(pid);
-            return Ok(stats);
+            return stats;
         }
         self.finish_gc(pid, stats);
-        Ok(stats)
+        stats
     }
 
     /// Fleet's RGS grouping GC (§5.3.1) plus the §5.3.2 madvise calls.
-    pub fn run_grouping(&mut self, pid: Pid) -> GcStats {
+    fn run_grouping(&mut self, pid: Pid) -> GcStats {
         let depth = self.config.fleet.depth;
         let (stats, outcome, fatal) = {
             let proc = self.procs.get_mut(&pid).expect("alive");
@@ -1565,11 +1531,18 @@ impl Device {
     /// any stop-the-world pause of a GC it triggered; completions are fed to
     /// the jank detector (gap > 16.7 ms = jank).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `pid` is not the current foreground app.
-    pub fn run_frames(&mut self, pid: Pid, secs: u64) -> fleet_metrics::FrameReport {
-        assert_eq!(self.foreground, Some(pid), "run_frames drives the foreground app");
+    /// Returns [`FleetError::NotForeground`] if `pid` is not the current
+    /// foreground app.
+    pub fn try_run_frames(
+        &mut self,
+        pid: Pid,
+        secs: u64,
+    ) -> Result<fleet_metrics::FrameReport, FleetError> {
+        if self.foreground != Some(pid) {
+            return Err(FleetError::NotForeground(pid));
+        }
         let mut script = {
             let proc = self.procs.get(&pid).expect("alive");
             fleet_apps::InteractionScript::new(proc.behavior.profile(), self.rng.fork())
@@ -1600,7 +1573,7 @@ impl Device {
             // A frame that triggers GC eats the pause on its critical path.
             let mut gc_pause = SimDuration::ZERO;
             if self.procs.get(&pid).expect("alive").heap.should_trigger_gc() {
-                let stats = self.run_gc(pid);
+                let stats = self.collect(pid);
                 gc_pause = stats.stw;
             }
             if !self.procs.contains_key(&pid) {
@@ -1642,7 +1615,7 @@ impl Device {
                 );
             }
         }
-        recorder.report()
+        Ok(recorder.report())
     }
 
     // -------------------------------------------------------------- tracing
@@ -1718,19 +1691,19 @@ mod tests {
     use super::*;
     use fleet_apps::{profile_by_name, synthetic_app};
 
-    fn device(scheme: SchemeKind) -> Device {
-        Device::new(DeviceConfig::pixel3(scheme))
+    fn device(scheme: SchemeKind) -> Result<Device, FleetError> {
+        Device::try_new(DeviceConfig::pixel3(scheme))
     }
 
     /// A slow-path `alloc` span reaches the trace even when its process is
     /// killed before any collection or obs barrier drains its heap log.
     #[cfg(feature = "obs")]
     #[test]
-    fn alloc_spans_of_a_killed_process_reach_the_trace() {
+    fn alloc_spans_of_a_killed_process_reach_the_trace() -> Result<(), FleetError> {
         use crate::probe::{install, shared, ObsPipeline};
         let pipeline = shared::<ObsPipeline>();
         let _guard = install(pipeline.clone());
-        let mut dev = device(SchemeKind::Android);
+        let mut dev = device(SchemeKind::Android)?;
         let (pid, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
         let heap = &mut dev.procs.get_mut(&pid).unwrap().heap;
         // Two region-sized objects: the second one must open a fresh region.
@@ -1742,6 +1715,7 @@ mod tests {
         let pipe = pipeline.lock().unwrap();
         let allocs = pipe.spans().iter().filter(|s| s.name == "alloc" && s.track == track);
         assert!(allocs.count() >= 1, "the killed process's alloc spans were lost");
+        Ok(())
     }
 
     #[test]
@@ -1752,53 +1726,56 @@ mod tests {
     }
 
     #[test]
-    fn cold_launch_creates_foreground_process() {
-        let mut dev = device(SchemeKind::Android);
+    fn cold_launch_creates_foreground_process() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Android)?;
         let profile = profile_by_name("Twitter").unwrap();
         let (pid, report) = dev.launch_cold(&profile);
         assert_eq!(report.kind, LaunchKind::Cold);
         assert!(report.total.as_millis_f64() > 1500.0, "{}", report.total);
         assert_eq!(dev.foreground(), Some(pid));
-        let proc = dev.process(pid);
+        let proc = dev.try_process(pid)?;
         assert!(proc.heap.live_bytes() >= profile.java_heap_bytes_scaled(16));
         assert!(dev.mm().process_mem(pid).resident > 0);
+        Ok(())
     }
 
     #[test]
-    fn hot_launch_on_idle_device_is_fast() {
-        let mut dev = device(SchemeKind::Android);
+    fn hot_launch_on_idle_device_is_fast() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Android)?;
         let twitter = profile_by_name("Twitter").unwrap();
         let telegram = profile_by_name("Telegram").unwrap();
         let (tw, _) = dev.launch_cold(&twitter);
         dev.run(5);
         let (_tg, _) = dev.launch_cold(&telegram);
         dev.run(5);
-        let report = dev.switch_to(tw);
+        let report = dev.try_switch_to(tw)?;
         assert_eq!(report.kind, LaunchKind::Hot);
         // No memory pressure: the hot launch is near the render floor
         // (Figure 2: Twitter ≈ 273 ms).
         assert!(report.total.as_millis_f64() < 450.0, "{}", report.total);
         assert!(report.total.as_millis_f64() > 150.0, "{}", report.total);
+        Ok(())
     }
 
     #[test]
-    fn background_transition_arms_scheme_timers() {
-        let mut dev = device(SchemeKind::Fleet);
+    fn background_transition_arms_scheme_timers() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Fleet)?;
         let profile = profile_by_name("Twitter").unwrap();
         let (pid, _) = dev.launch_cold(&profile);
         dev.launch_cold(&profile_by_name("Telegram").unwrap());
-        let proc = dev.process(pid);
+        let proc = dev.try_process(pid)?;
         assert_eq!(proc.state, AppState::Background);
         assert!(proc.fleet.grouping_due.is_some());
+        Ok(())
     }
 
     #[test]
-    fn fleet_grouping_runs_after_ts() {
-        let mut dev = device(SchemeKind::Fleet);
+    fn fleet_grouping_runs_after_ts() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Fleet)?;
         let (pid, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
         dev.launch_cold(&profile_by_name("Telegram").unwrap());
         dev.run(15); // Ts = 10 s
-        let proc = dev.process(pid);
+        let proc = dev.try_process(pid)?;
         assert!(proc.fleet.grouped.is_some(), "grouping GC should have run");
         let grouped = proc.fleet.grouped.as_ref().unwrap();
         assert!(!grouped.launch_ranges.is_empty());
@@ -1806,53 +1783,57 @@ mod tests {
         assert!(proc.gcs.iter().any(|g| g.stats.kind == GcKind::Grouping));
         // Cold ranges were actively swapped out.
         assert!(dev.mm().process_mem(pid).swapped > 0, "COLD_RUNTIME should push pages out");
+        Ok(())
     }
 
     #[test]
-    fn fleet_uses_bgc_in_background() {
-        let mut dev = device(SchemeKind::Fleet);
+    fn fleet_uses_bgc_in_background() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Fleet)?;
         let (pid, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
         dev.launch_cold(&profile_by_name("Telegram").unwrap());
         dev.run(80); // past the first maintenance GC
-        let proc = dev.process(pid);
+        let proc = dev.try_process(pid)?;
         assert!(
             proc.gcs.iter().any(|g| g.stats.kind == GcKind::Bgc),
             "BGC should run while cached"
         );
+        Ok(())
     }
 
     #[test]
-    fn android_uses_full_gc_in_background() {
-        let mut dev = device(SchemeKind::Android);
+    fn android_uses_full_gc_in_background() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Android)?;
         let (pid, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
         dev.launch_cold(&profile_by_name("Telegram").unwrap());
         dev.run(80);
-        let proc = dev.process(pid);
+        let proc = dev.try_process(pid)?;
         let bg_gcs: Vec<_> = proc.gcs.iter().filter(|g| g.stats.kind == GcKind::Full).collect();
         assert!(!bg_gcs.is_empty());
+        Ok(())
     }
 
     #[test]
-    fn marvin_pins_java_pages_and_swaps_objects() {
-        let mut dev = device(SchemeKind::Marvin);
+    fn marvin_pins_java_pages_and_swaps_objects() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Marvin)?;
         let big_objects = synthetic_app(2048, 180);
         let (pid, _) = dev.launch_cold(&big_objects);
         dev.launch_cold(&synthetic_app(2048, 180));
         dev.run(50);
-        let proc = dev.process(pid);
+        let proc = dev.try_process(pid)?;
         let marvin = proc.marvin.as_ref().unwrap();
         assert!(marvin.state().stub_count() > 0, "cold large objects should be bookmarked");
         assert!(dev.mm().process_mem(pid).swapped > 0, "pure pages should be released");
+        Ok(())
     }
 
     #[test]
-    fn marvin_cannot_swap_small_objects() {
-        let mut dev = device(SchemeKind::Marvin);
+    fn marvin_cannot_swap_small_objects() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Marvin)?;
         let small_objects = synthetic_app(512, 180);
         let (pid, _) = dev.launch_cold(&small_objects);
         dev.launch_cold(&synthetic_app(512, 180));
         dev.run(50);
-        let proc = dev.process(pid);
+        let proc = dev.try_process(pid)?;
         let marvin = proc.marvin.as_ref().unwrap();
         assert_eq!(marvin.state().stub_count(), 0, "512 B objects are below the threshold");
         // Java pages are pinned and nothing is object-swappable: no swap.
@@ -1861,11 +1842,22 @@ mod tests {
             heap_pages.swapped <= proc.native_len / PAGE_SIZE,
             "only native pages may swap under Marvin"
         );
+        Ok(())
     }
 
     #[test]
-    fn capacity_pressure_triggers_lmk_kills() {
-        let mut dev = device(SchemeKind::AndroidNoSwap);
+    fn run_frames_drives_only_the_foreground_app() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Android)?;
+        let (bg, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
+        let (fg, _) = dev.launch_cold(&profile_by_name("Telegram").unwrap());
+        assert!(matches!(dev.try_run_frames(bg, 1), Err(FleetError::NotForeground(p)) if p == bg));
+        assert!(dev.try_run_frames(fg, 1)?.frames > 0);
+        Ok(())
+    }
+
+    #[test]
+    fn capacity_pressure_triggers_lmk_kills() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::AndroidNoSwap)?;
         let app = synthetic_app(2048, 180);
         for _ in 0..20 {
             dev.launch_cold(&app);
@@ -1873,26 +1865,28 @@ mod tests {
         }
         assert!(!dev.kills().is_empty(), "no-swap device must kill under pressure");
         assert!(dev.cached_apps() < 20);
+        Ok(())
     }
 
     #[test]
-    fn deterministic_runs_with_same_seed() {
-        let run = || {
-            let mut dev = device(SchemeKind::Fleet);
+    fn deterministic_runs_with_same_seed() -> Result<(), FleetError> {
+        let run = || -> Result<_, FleetError> {
+            let mut dev = device(SchemeKind::Fleet)?;
             let (pid, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
             dev.launch_cold(&profile_by_name("Telegram").unwrap());
             dev.run(40);
-            let r = dev.switch_to(pid);
-            (r.total, dev.mm().stats().faults, dev.now())
+            let r = dev.try_switch_to(pid)?;
+            Ok((r.total, dev.mm().stats().faults, dev.now()))
         };
-        assert_eq!(run(), run());
+        assert_eq!(run()?, run()?);
+        Ok(())
     }
 
     #[test]
-    fn zram_device_consumes_dram_for_swap() {
+    fn zram_device_consumes_dram_for_swap() -> Result<(), FleetError> {
         let mut config = DeviceConfig::pixel3(SchemeKind::Android);
         config.swap_medium = fleet_kernel::SwapMedium::Zram { compression_ratio: 2.8 };
-        let mut dev = Device::new(config);
+        let mut dev = Device::try_new(config)?;
         let app = synthetic_app(2048, 180);
         for _ in 0..8 {
             dev.launch_cold(&app);
@@ -1905,25 +1899,26 @@ mod tests {
         }
         // Zram faults are near-DRAM speed: background GC stalls stay small.
         let pid = dev.alive()[0];
-        let stats = dev.run_gc(pid);
+        let stats = dev.try_run_gc(pid)?;
         assert!(
             stats.fault_stall.as_millis_f64() < 200.0,
             "zram GC stall should be small: {}",
             stats.fault_stall
         );
+        Ok(())
     }
 
     #[test]
-    fn prefetch_history_survives_kills() {
+    fn prefetch_history_survives_kills() -> Result<(), FleetError> {
         let mut config = DeviceConfig::pixel3(SchemeKind::Android);
         config.prefetch_on_launch = true;
-        let mut dev = Device::new(config);
+        let mut dev = Device::try_new(config)?;
         let profile = profile_by_name("Twitter").unwrap();
         let (pid, _) = dev.launch_cold(&profile);
         dev.run(3);
         dev.launch_cold(&profile_by_name("Telegram").unwrap());
         dev.run(3);
-        dev.switch_to(pid); // records launch history under "Twitter"
+        dev.try_switch_to(pid)?; // records launch history under "Twitter"
         dev.run(3);
         dev.kill(pid);
         // Relaunch: the device-level history still exists and prefetching
@@ -1931,14 +1926,15 @@ mod tests {
         let (pid2, _) = dev.launch_cold(&profile);
         dev.launch_cold(&profile_by_name("Telegram").unwrap());
         dev.run(3);
-        let report = dev.switch_to(pid2);
+        let report = dev.try_switch_to(pid2)?;
         assert!(report.total.as_millis_f64() > 0.0);
         assert!(dev.mm().used_frames() <= dev.mm().frames_capacity());
+        Ok(())
     }
 
     #[test]
-    fn psi_rises_under_thrash_and_decays_when_idle() {
-        let mut dev = device(SchemeKind::Android);
+    fn psi_rises_under_thrash_and_decays_when_idle() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Android)?;
         assert_eq!(dev.psi(), 0.0);
         let app = synthetic_app(2048, 180);
         for _ in 0..16 {
@@ -1949,30 +1945,32 @@ mod tests {
         // quiet period the EWMA decays back toward zero.
         dev.run(120);
         assert!(dev.psi() < 0.5, "psi should decay when quiet: {}", dev.psi());
+        Ok(())
     }
 
     #[test]
-    fn ablation_flags_change_fleet_behaviour() {
-        let run = |disable_cold: bool| {
+    fn ablation_flags_change_fleet_behaviour() -> Result<(), FleetError> {
+        let run = |disable_cold: bool| -> Result<u64, FleetError> {
             let mut config = DeviceConfig::pixel3(SchemeKind::Fleet);
             config.fleet_disable_cold_madvise = disable_cold;
-            let mut dev = Device::new(config);
+            let mut dev = Device::try_new(config)?;
             let (pid, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
             dev.launch_cold(&profile_by_name("Telegram").unwrap());
             dev.run(15);
-            dev.mm().process_mem(pid).swapped
+            Ok(dev.mm().process_mem(pid).swapped)
         };
-        let with_cold = run(false);
-        let without_cold = run(true);
+        let with_cold = run(false)?;
+        let without_cold = run(true)?;
         assert!(
             with_cold > without_cold,
             "COLD_RUNTIME must proactively swap: {with_cold} vs {without_cold}"
         );
+        Ok(())
     }
 
     #[test]
-    fn trace_records_mutator_and_gc_samples() {
-        let mut dev = device(SchemeKind::Android);
+    fn trace_records_mutator_and_gc_samples() -> Result<(), FleetError> {
+        let mut dev = device(SchemeKind::Android)?;
         let (pid, _) = dev.launch_cold(&profile_by_name("AmazonShop").unwrap());
         dev.enable_trace(pid, 100);
         dev.run(5);
@@ -1981,5 +1979,6 @@ mod tests {
         let trace = dev.take_trace().unwrap();
         assert!(trace.samples().iter().any(|s| s.source == TraceSource::Mutator));
         assert!(trace.samples().iter().any(|s| s.source == TraceSource::Gc));
+        Ok(())
     }
 }

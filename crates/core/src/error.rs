@@ -16,6 +16,8 @@ pub enum FleetError {
     InvalidConfig(String),
     /// An operation referenced a process that is not alive.
     ProcessNotAlive(Pid),
+    /// An operation that drives the foreground app named another process.
+    NotForeground(Pid),
     /// An app name was not found in the Table 3 catalog.
     UnknownApp(String),
     /// An experiment selector matched nothing in the registry.
@@ -34,6 +36,9 @@ impl fmt::Display for FleetError {
         match self {
             FleetError::InvalidConfig(why) => write!(f, "invalid device configuration: {why}"),
             FleetError::ProcessNotAlive(pid) => write!(f, "process {pid:?} is not alive"),
+            FleetError::NotForeground(pid) => {
+                write!(f, "process {pid:?} is not the foreground app")
+            }
             FleetError::UnknownApp(name) => {
                 write!(f, "unknown app `{name}` (not in Table 3 catalog)")
             }

@@ -47,7 +47,7 @@ pub fn fig14(seed: u64, secs: u64, apps: Option<Vec<String>>) -> Result<Vec<Fig1
             if pool.device().foreground() != Some(pid) {
                 pool.device_mut().try_switch_to(pid)?;
             }
-            let report = pool.device_mut().run_frames(pid, secs);
+            let report = pool.device_mut().try_run_frames(pid, secs)?;
             rows.push(Fig14Row {
                 app: app.clone(),
                 scheme: scheme.to_string(),

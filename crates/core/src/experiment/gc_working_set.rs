@@ -71,14 +71,6 @@ pub fn average_reduction(rows: &[Fig12aRow]) -> f64 {
     ratios.iter().sum::<f64>() / ratios.len().max(1) as f64
 }
 
-/// Sanity helper used by tests and the harness: the number of live objects
-/// in a freshly warmed app of this profile (the trace upper bound).
-pub fn live_objects_estimate(app: &str) -> u64 {
-    let profile = profile_by_name(app).unwrap_or_else(|| panic!("unknown app {app}"));
-    let heap_bytes = profile.java_heap_bytes_scaled(16);
-    heap_bytes / profile.size_dist.mean() as u64
-}
-
 /// Experiment `fig12`: 12a working-set table plus the 12b traces (the
 /// latter measured by [`access_trace::fig12b`]).
 pub struct Fig12;
@@ -165,12 +157,5 @@ mod tests {
         }
         let reduction = average_reduction(&rows);
         assert!(reduction >= 3.0, "average reduction {reduction} (paper: ≈7×)");
-    }
-
-    #[test]
-    fn live_object_estimates_are_plausible() {
-        // Twitter: ~6 MiB scaled heap of ~100 B objects → tens of thousands.
-        let est = live_objects_estimate("Twitter");
-        assert!((20_000..200_000).contains(&est), "{est}");
     }
 }

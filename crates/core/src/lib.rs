@@ -17,16 +17,17 @@
 //! # Examples
 //!
 //! ```
-//! use fleet::{Device, DeviceConfig, SchemeKind};
+//! use fleet::{Device, DeviceConfig, FleetError, SchemeKind};
 //! use fleet_apps::profile_by_name;
 //!
-//! let mut device = Device::new(DeviceConfig::pixel3(SchemeKind::Fleet));
+//! let mut device = Device::try_new(DeviceConfig::pixel3(SchemeKind::Fleet))?;
 //! let twitter = profile_by_name("Twitter").unwrap();
 //! let (pid, cold) = device.launch_cold(&twitter);
 //! device.launch_cold(&profile_by_name("Telegram").unwrap());
 //! device.run(15); // Fleet groups + swaps 10 s after backgrounding
-//! let hot = device.switch_to(pid);
+//! let hot = device.try_switch_to(pid)?;
 //! assert!(hot.total < cold.total);
+//! # Ok::<(), FleetError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -40,7 +41,6 @@ pub mod population;
 pub mod probe;
 pub mod process;
 pub mod telemetry;
-pub mod timeline;
 
 pub use config::{DeviceConfig, DeviceConfigBuilder, ZramFront};
 pub use device::{Device, DeviceTrace, KillRecord, TraceSample, TraceSource};
@@ -56,7 +56,6 @@ pub use telemetry::{
     drill_down, CohortTelemetry, DrilldownRecord, LaunchAttribution, LaunchSpanSample, Outlier,
     SloBreach, SloMetric, SloReport, SloSpec, SloVerdict,
 };
-pub use timeline::{Timeline, TimelineEvent};
 
 /// The stable, supported surface of the reproduction in one import.
 ///

@@ -20,11 +20,12 @@
 //!
 //! let pipeline = shared::<ObsPipeline>();
 //! let _guard = install(pipeline.clone());
-//! let mut device = Device::new(DeviceConfig::pixel3(SchemeKind::Fleet));
+//! let mut device = Device::try_new(DeviceConfig::pixel3(SchemeKind::Fleet))?;
 //! device.run(2);
 //! drop(device);
 //! let trace = pipeline.lock().unwrap().trace_json();
 //! fleet::probe::validate_chrome_trace(&trace).unwrap();
+//! # Ok::<(), fleet::FleetError>(())
 //! ```
 
 #[cfg(feature = "audit")]

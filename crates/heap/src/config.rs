@@ -85,11 +85,6 @@ impl HeapConfig {
     pub fn card_size(&self) -> u64 {
         1 << self.card_shift
     }
-
-    /// Number of pages per region.
-    pub fn pages_per_region(&self) -> u64 {
-        self.region_size as u64 / PAGE_SIZE
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +96,6 @@ mod tests {
         let cfg = HeapConfig::default();
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.card_size(), 1024);
-        assert_eq!(cfg.pages_per_region(), 64);
         assert_eq!(cfg.growth_factor_background, 1.1);
     }
 

@@ -458,35 +458,6 @@ impl Heap {
         }
     }
 
-    /// Replaces all outgoing edges of `from`, running the write barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any target has been freed.
-    pub fn set_refs(&mut self, from: ObjectId, refs: Vec<ObjectId>) {
-        for &to in &refs {
-            assert!(self.contains(to), "dangling reference target {to}");
-        }
-        probe!(audit, self, |pid| AuditEvent::RefsCleared { pid, object: from.0 as u64 });
-        #[cfg(feature = "audit")]
-        for &to in &refs {
-            probe!(audit, self, |pid| AuditEvent::RefAdded {
-                pid,
-                from: from.0 as u64,
-                to: to.0 as u64,
-            });
-        }
-        self.write_barrier(from);
-        *self.object_mut(from).refs_mut() = refs;
-    }
-
-    /// Drops all outgoing edges of `from`, running the write barrier.
-    pub fn clear_refs(&mut self, from: ObjectId) {
-        self.write_barrier(from);
-        self.object_mut(from).refs_mut().clear();
-        probe!(audit, self, |pid| AuditEvent::RefsCleared { pid, object: from.0 as u64 });
-    }
-
     /// The write barrier: every object write dirties the card covering the
     /// written object, as in ART. Fleet's BGC consumes the cards that fall in
     /// *foreground* regions to find FGO→BGO references without scanning the
@@ -1094,16 +1065,15 @@ mod tests {
     }
 
     #[test]
-    fn set_refs_validates_targets() {
+    fn remove_ref_drops_one_of_duplicate_edges() {
         let mut h = small_heap();
         let a = h.alloc(10);
         let b = h.alloc(10);
-        h.set_refs(a, vec![b, b]);
+        h.add_ref(a, b);
+        h.add_ref(a, b);
         assert_eq!(h.object(a).refs().len(), 2);
         h.remove_ref(a, b);
         assert_eq!(h.object(a).refs(), &[b]);
-        h.clear_refs(a);
-        assert!(h.object(a).refs().is_empty());
     }
 
     #[test]

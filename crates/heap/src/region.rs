@@ -42,19 +42,6 @@ pub enum RegionKind {
 impl RegionKind {
     /// Number of kinds; `kind as usize` indexes arrays of this length.
     pub(crate) const COUNT: usize = 6;
-
-    /// True for regions that hold foreground objects — the regions whose
-    /// writes must dirty the card table and which BGC must not trace into.
-    pub fn holds_foreground(self) -> bool {
-        matches!(
-            self,
-            RegionKind::Eden
-                | RegionKind::Fg
-                | RegionKind::Launch
-                | RegionKind::Ws
-                | RegionKind::Cold
-        )
-    }
 }
 
 impl std::fmt::Display for RegionKind {
@@ -178,16 +165,6 @@ impl Region {
     pub(crate) fn release_object(&mut self) {
         self.live -= 1;
     }
-
-    /// End address (exclusive) of the allocated part of the region.
-    pub fn allocated_end(&self) -> u64 {
-        self.base + self.top as u64
-    }
-
-    /// The address range `[base, base + size)` of the whole region.
-    pub fn address_range(&self) -> std::ops::Range<u64> {
-        self.base..self.base + self.size as u64
-    }
 }
 
 #[cfg(test)]
@@ -215,25 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn foreground_kinds() {
-        assert!(RegionKind::Eden.holds_foreground());
-        assert!(RegionKind::Fg.holds_foreground());
-        assert!(RegionKind::Launch.holds_foreground());
-        assert!(RegionKind::Ws.holds_foreground());
-        assert!(RegionKind::Cold.holds_foreground());
-        assert!(!RegionKind::Bg.holds_foreground());
-    }
-
-    #[test]
     fn address_range_and_flags() {
         let mut r = Region::new(RegionId(3), RegionKind::Bg, 4096, 256, true);
-        assert_eq!(r.address_range(), 4096..4352);
         assert!(r.newly_allocated());
         r.clear_newly_allocated();
         assert!(!r.newly_allocated());
         assert!(r.is_empty());
         r.bump(10, ObjectId(9));
-        assert_eq!(r.allocated_end(), 4106);
         assert!(!r.is_empty());
         // Releasing the object empties the region but keeps its log entry.
         r.release_object();

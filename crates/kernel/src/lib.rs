@@ -66,9 +66,7 @@ pub use mm::{
 pub use mm::{PageEntry, PageTable};
 pub use page::{PageKey, PageKind, PageState, Pid, PAGE_SIZE};
 pub use reclaim::{KillPolicy, ReclaimDriver, ReclaimPolicy, SwamParams};
-pub use swap::{
-    SwapConfig, SwapConfigBuilder, SwapDevice, SwapError, SwapMedium, SwapOp, TierStats,
-};
+pub use swap::{SwapConfig, SwapConfigBuilder, SwapDevice, SwapError, SwapMedium, TierStats};
 pub use tier::{SwapStack, SwapStats, SwapTier};
 
 // Send audit: population-scale cohort runs (fleet::population) move whole

@@ -27,7 +27,7 @@
 //! both implementations through identical op sequences, and `fleet-bench`
 //! times it as the committed baseline in `BENCH_kernel.json`.
 
-use crate::page::{PageKey, Pid};
+use crate::page::PageKey;
 
 const NIL: u32 = u32::MAX;
 
@@ -334,25 +334,6 @@ impl LruQueue {
         (self.head != NIL).then(|| self.nodes[self.head as usize].key)
     }
 
-    /// Removes every page belonging to `pid`, returning how many were
-    /// dropped (process exit).
-    pub fn remove_process(&mut self, pid: Pid) -> usize {
-        let mut victims: Vec<u32> = Vec::new();
-        let mut idx = self.head;
-        while idx != NIL {
-            let node = &self.nodes[idx as usize];
-            if node.key.pid == pid {
-                victims.push(idx);
-            }
-            idx = node.next;
-        }
-        let n = victims.len();
-        for idx in victims {
-            self.remove_handle(LruHandle(idx));
-        }
-        n
-    }
-
     /// Iterates tracked pages from coldest to hottest (for validation and
     /// debugging).
     pub fn iter(&self) -> impl Iterator<Item = PageKey> + '_ {
@@ -568,17 +549,6 @@ mod tests {
             assert_ne!(lru.pop_coldest(), Some(key(0)));
         }
         assert_eq!(lru.pop_coldest(), Some(key(0)));
-    }
-
-    #[test]
-    fn remove_process_drops_only_that_pid() {
-        let mut lru = LruQueue::new();
-        lru.insert(PageKey { pid: Pid(1), index: 0 });
-        lru.insert(PageKey { pid: Pid(2), index: 0 });
-        lru.insert(PageKey { pid: Pid(1), index: 1 });
-        assert_eq!(lru.remove_process(Pid(1)), 2);
-        assert_eq!(lru.len(), 1);
-        assert!(lru.contains(PageKey { pid: Pid(2), index: 0 }));
     }
 
     #[test]

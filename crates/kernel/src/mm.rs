@@ -1739,17 +1739,17 @@ impl MemoryManager {
             SwapTier::Flash => dev.try_reserve(),
         };
         let written = reserved.and_then(|()| match dev.try_write(1) {
-            Ok(op) => Ok(op),
+            Ok(cost) => Ok(cost),
             Err(e) => {
                 dev.release_page();
                 Err(e)
             }
         });
         match written {
-            Ok(op) => {
+            Ok(cost) => {
                 self.mark_swapped_out(victim);
                 self.stats.pages_swapped_out += 1;
-                self.stats.kswapd_cpu_nanos += op.latency.as_nanos();
+                self.stats.kswapd_cpu_nanos += cost.as_nanos();
                 probe!(
                     audit,
                     self,
@@ -1981,14 +1981,14 @@ impl MemoryManager {
             }
             let back = self.swap.back_mut();
             let written = back.try_reserve().and_then(|()| match back.try_write(1) {
-                Ok(op) => Ok(op),
+                Ok(cost) => Ok(cost),
                 Err(e) => {
                     back.release_page();
                     Err(e)
                 }
             });
             match written {
-                Ok(op)
+                Ok(cost)
                     if self.integrity.config.enabled
                         && self.swap.back_mut().fault_plan_mut().torn_writeback_fault() =>
                 {
@@ -1999,7 +1999,7 @@ impl MemoryManager {
                     // is still kswapd's.
                     self.stats.corruptions_injected += 1;
                     self.stats.corruptions_detected += 1;
-                    self.stats.kswapd_cpu_nanos += op.latency.as_nanos();
+                    self.stats.kswapd_cpu_nanos += cost.as_nanos();
                     probe!(
                         audit,
                         self,
@@ -2016,13 +2016,13 @@ impl MemoryManager {
                     self.entry_expect(victim.pid, victim.index, "torn writeback").node = raw;
                     break;
                 }
-                Ok(op) => {
+                Ok(cost) => {
                     // Demotion decompresses the page out of the front tier
                     // and writes it to the back tier; both costs are
                     // kswapd's, not any mutator's.
                     let read = self.front_expect("writeback demotion").read_pages(1);
                     self.front_expect("writeback demotion").release_page();
-                    self.stats.kswapd_cpu_nanos += (read + op.latency).as_nanos();
+                    self.stats.kswapd_cpu_nanos += (read + cost).as_nanos();
                     self.stats.zram_writeback_pages += 1;
                     let em = self.entry_expect(victim.pid, victim.index, "writeback demotion");
                     em.flags &= !PE_ZRAM;

@@ -29,11 +29,6 @@ impl PageKey {
     pub fn of_addr(pid: Pid, addr: u64) -> Self {
         PageKey { pid, index: addr / PAGE_SIZE }
     }
-
-    /// First byte address of the page.
-    pub fn base_addr(&self) -> u64 {
-        self.index * PAGE_SIZE
-    }
 }
 
 /// Where a mapped page currently lives.
@@ -76,7 +71,6 @@ mod tests {
     fn page_key_of_addr() {
         let k = PageKey::of_addr(Pid(3), 8192 + 17);
         assert_eq!(k.index, 2);
-        assert_eq!(k.base_addr(), 8192);
         assert_eq!(k.pid, Pid(3));
     }
 

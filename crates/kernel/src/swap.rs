@@ -5,7 +5,7 @@
 //! partition — a ~452× gap. Those two constants are the defaults here and
 //! drive every page-fault latency in the simulation.
 
-use crate::fault::{FaultPlan, ReadFault};
+use crate::fault::FaultPlan;
 use crate::page::PAGE_SIZE;
 use fleet_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -183,27 +183,11 @@ impl SwapConfigBuilder {
     }
 }
 
-/// One completed swap operation: how much moved, what it cost, and how much
-/// of that cost was injected degradation (latency spikes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SwapOp {
-    /// Pages transferred.
-    pub pages: u64,
-    /// Total stall charged to the caller (transfer + any spike).
-    pub latency: SimDuration,
-    /// The injected-spike share of `latency` (zero on a clean op).
-    pub degraded: SimDuration,
-}
-
 /// Why a swap operation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwapError {
     /// A transient I/O error: the same operation may succeed on retry.
     TransientIo,
-    /// A permanent media error: retrying cannot help. For a file-backed
-    /// page the caller refaults from the original file; for an anonymous
-    /// page the data is lost and the owning process must die.
-    PermanentIo,
     /// No slot is free — either the device is genuinely full or an injected
     /// exhaustion window refused the reservation.
     Full,
@@ -213,7 +197,6 @@ impl std::fmt::Display for SwapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SwapError::TransientIo => write!(f, "transient swap I/O error"),
-            SwapError::PermanentIo => write!(f, "permanent swap I/O error"),
             SwapError::Full => write!(f, "swap device full"),
         }
     }
@@ -406,48 +389,19 @@ impl SwapDevice {
         Ok(())
     }
 
-    /// Decides the fate of one write-back through the fault plan (quiet
-    /// plans never fail). On error the caller must leave the victim page
-    /// resident.
+    /// Decides the fate of one write-back of `n` pages through the fault
+    /// plan (quiet plans never fail) and returns its cost. On error the
+    /// caller must leave the victim page resident.
     ///
     /// # Errors
     ///
     /// [`SwapError::TransientIo`] when the injected write-back fails.
-    pub fn try_write(&mut self, n: u64) -> Result<SwapOp, SwapError> {
+    pub fn try_write(&mut self, n: u64) -> Result<SimDuration, SwapError> {
         if self.fault.write_fault() {
             self.io_errors += 1;
             return Err(SwapError::TransientIo);
         }
-        Ok(SwapOp { pages: n, latency: self.write_cost(n), degraded: SimDuration::ZERO })
-    }
-
-    /// Reads `n` pages through the fault plan: an armed plan may fail the
-    /// operation or stretch it with a device-internal GC pause.
-    ///
-    /// # Errors
-    ///
-    /// [`SwapError::TransientIo`] (retry may help) or
-    /// [`SwapError::PermanentIo`] (it will not).
-    pub fn try_read(&mut self, n: u64) -> Result<SwapOp, SwapError> {
-        if n == 0 {
-            return Ok(SwapOp::default());
-        }
-        match self.fault.read_fault() {
-            Some(ReadFault::Permanent) => {
-                self.io_errors += 1;
-                Err(SwapError::PermanentIo)
-            }
-            Some(ReadFault::Transient) => {
-                self.io_errors += 1;
-                Err(SwapError::TransientIo)
-            }
-            Some(ReadFault::Spike(extra)) => {
-                Ok(SwapOp { pages: n, latency: self.read_pages(n) + extra, degraded: extra })
-            }
-            None => {
-                Ok(SwapOp { pages: n, latency: self.read_pages(n), degraded: SimDuration::ZERO })
-            }
-        }
+        Ok(self.write_cost(n))
     }
 
     /// Releases a slot (page faulted back in or unmapped while swapped).
@@ -697,32 +651,8 @@ mod tests {
         assert!(a.try_reserve().is_ok());
         assert!(b.reserve_page());
         assert_eq!(a.used_pages(), b.used_pages());
-        let op = a.try_read(5).expect("quiet reads never fail");
-        assert_eq!(op.latency, b.read_pages(5));
-        assert_eq!(op.degraded, SimDuration::ZERO);
         let w = a.try_write(3).expect("quiet writes never fail");
-        assert_eq!(w.latency, b.write_cost(3));
-    }
-
-    #[test]
-    fn armed_plan_injects_read_errors_and_spikes() {
-        use crate::fault::{FaultConfig, FaultPlan};
-        let mut swap = SwapDevice::new(SwapConfig::default());
-        swap.install_fault_plan(FaultPlan::new(
-            1,
-            FaultConfig { read_transient_rate: 1.0, ..FaultConfig::default() },
-        ));
-        assert!(swap.fault_active());
-        assert_eq!(swap.try_read(1), Err(SwapError::TransientIo));
-
-        swap.install_fault_plan(FaultPlan::new(
-            1,
-            FaultConfig { latency_spike_rate: 1.0, ..FaultConfig::default() },
-        ));
-        let clean = SwapDevice::new(SwapConfig::default()).read_pages(1);
-        let op = swap.try_read(1).expect("spikes still succeed");
-        assert_eq!(op.latency, clean + op.degraded);
-        assert!(op.degraded > SimDuration::ZERO);
+        assert_eq!(w, b.write_cost(3));
     }
 
     #[test]

@@ -104,19 +104,6 @@ impl CpuAccounting {
         self.gc += other.gc;
         self.kernel += other.kernel;
     }
-
-    /// Relative total-CPU difference versus a baseline, in percent
-    /// (positive = this record used more CPU). Returns 0 when the baseline
-    /// is idle.
-    pub fn overhead_vs_percent(&self, baseline: &CpuAccounting) -> f64 {
-        let base = baseline.total().as_nanos();
-        if base == 0 {
-            0.0
-        } else {
-            let this = self.total().as_nanos();
-            100.0 * (this as f64 - base as f64) / base as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,18 +135,6 @@ mod tests {
     fn idle_record_has_zero_shares() {
         let cpu = CpuAccounting::new();
         assert_eq!(cpu.share_percent(ThreadClass::Gc), 0.0);
-        assert_eq!(cpu.overhead_vs_percent(&CpuAccounting::new()), 0.0);
-    }
-
-    #[test]
-    fn overhead_vs_baseline() {
-        let mut base = CpuAccounting::new();
-        base.charge(ThreadClass::Mutator, SimDuration::from_millis(100));
-        let mut mine = CpuAccounting::new();
-        mine.charge(ThreadClass::Mutator, SimDuration::from_millis(100));
-        mine.charge(ThreadClass::Gc, SimDuration::from_millis(1));
-        assert!((mine.overhead_vs_percent(&base) - 1.0).abs() < 1e-9);
-        assert!((base.overhead_vs_percent(&mine) + 100.0 / 101.0).abs() < 1e-6);
     }
 
     #[test]

@@ -91,20 +91,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a millisecond value compactly ("273 ms" / "2.39 s").
-pub fn fmt_ms(ms: f64) -> String {
-    if ms >= 1000.0 {
-        format!("{:.2} s", ms / 1000.0)
-    } else {
-        format!("{ms:.0} ms")
-    }
-}
-
-/// Formats a ratio as a speedup ("1.59x").
-pub fn fmt_speedup(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,12 +124,5 @@ mod tests {
         t.row(["x", "y", "z"]);
         let s = t.to_string();
         assert!(!s.contains('y'));
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(fmt_ms(273.0), "273 ms");
-        assert_eq!(fmt_ms(2390.0), "2.39 s");
-        assert_eq!(fmt_speedup(1.59), "1.59x");
     }
 }

@@ -1,9 +1,8 @@
-//! Sampling distributions used by the workload models.
+//! The object-size distribution used by the workload models.
 //!
 //! Figure 7 of the paper shows that Android objects are overwhelmingly much
 //! smaller than a 4 KiB page; [`SizeDistribution`] encodes exactly such
-//! bucketed CDFs. [`LogNormal`], [`Exponential`] and [`Zipf`] cover launch
-//! jitter, inter-arrival gaps and skewed access popularity respectively.
+//! bucketed CDFs.
 
 use crate::rng::SimRng;
 use serde::{Deserialize, Serialize};
@@ -149,155 +148,6 @@ impl SizeDistribution {
     }
 }
 
-/// An exponential distribution with the given mean, for inter-arrival gaps.
-///
-/// # Examples
-///
-/// ```
-/// use fleet_sim::{Exponential, SimRng};
-///
-/// let gaps = Exponential::with_mean(100.0).unwrap();
-/// let mut rng = SimRng::seed_from(0);
-/// assert!(gaps.sample(&mut rng) >= 0.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Exponential {
-    mean: f64,
-}
-
-impl Exponential {
-    /// Creates a distribution with the given mean.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError::BadWeight`] if `mean` is not a positive finite number.
-    pub fn with_mean(mean: f64) -> Result<Self, DistError> {
-        if !mean.is_finite() || mean <= 0.0 {
-            return Err(DistError::BadWeight);
-        }
-        Ok(Exponential { mean })
-    }
-
-    /// Samples a non-negative value.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        -self.mean * (1.0 - rng.unit()).ln()
-    }
-
-    /// The configured mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
-/// A log-normal distribution parameterised by the location `mu` and scale
-/// `sigma` of the underlying normal. Used for launch-time jitter, which is
-/// right-skewed on real devices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a log-normal with underlying normal parameters `(mu, sigma)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError::BadWeight`] if `sigma` is negative or either
-    /// parameter is not finite.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self, DistError> {
-        if !mu.is_finite() || !sigma.is_finite() || sigma < 0.0 {
-            return Err(DistError::BadWeight);
-        }
-        Ok(LogNormal { mu, sigma })
-    }
-
-    /// Creates a log-normal whose *median* is `median` with shape `sigma`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError::BadWeight`] if `median` is not positive finite or
-    /// `sigma` is negative.
-    pub fn with_median(median: f64, sigma: f64) -> Result<Self, DistError> {
-        if !median.is_finite() || median <= 0.0 {
-            return Err(DistError::BadWeight);
-        }
-        LogNormal::new(median.ln(), sigma)
-    }
-
-    /// Samples a positive value.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        (self.mu + self.sigma * rng.standard_normal()).exp()
-    }
-
-    /// The distribution's median, `exp(mu)`.
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
-    }
-}
-
-/// A Zipf distribution over ranks `0..n`, used to model skewed object access
-/// popularity (a few objects are touched constantly, the tail rarely).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Zipf {
-    n: usize,
-    exponent: f64,
-    /// Cumulative weights, one per rank, normalised to end at 1.0.
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `n` ranks with the given exponent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError::Empty`] when `n == 0` and
-    /// [`DistError::BadWeight`] when the exponent is negative or not finite.
-    pub fn new(n: usize, exponent: f64) -> Result<Self, DistError> {
-        if n == 0 {
-            return Err(DistError::Empty);
-        }
-        if !exponent.is_finite() || exponent < 0.0 {
-            return Err(DistError::BadWeight);
-        }
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for rank in 1..=n {
-            acc += 1.0 / (rank as f64).powf(exponent);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        Ok(Zipf { n, exponent, cdf })
-    }
-
-    /// Samples a rank in `[0, n)`; rank 0 is the most popular.
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let x = rng.unit();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&x).expect("cdf has no NaN")) {
-            Ok(i) => (i + 1).min(self.n - 1),
-            Err(i) => i.min(self.n - 1),
-        }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false: a `Zipf` has at least one rank by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The skew exponent.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,49 +185,6 @@ mod tests {
         let mut rng = SimRng::seed_from(0);
         for _ in 0..100 {
             assert_eq!(dist.sample(&mut rng), 512);
-        }
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let exp = Exponential::with_mean(50.0).unwrap();
-        let mut rng = SimRng::seed_from(8);
-        let n = 30_000;
-        let mean = (0..n).map(|_| exp.sample(&mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - 50.0).abs() < 1.5, "mean {mean}");
-        assert!(Exponential::with_mean(0.0).is_err());
-        assert!(Exponential::with_mean(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn lognormal_median_is_close() {
-        let ln = LogNormal::with_median(200.0, 0.3).unwrap();
-        assert!((ln.median() - 200.0).abs() < 1e-6);
-        let mut rng = SimRng::seed_from(12);
-        let mut samples: Vec<f64> = (0..10_001).map(|_| ln.sample(&mut rng)).collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = samples[5000];
-        assert!((median - 200.0).abs() / 200.0 < 0.05, "median {median}");
-    }
-
-    #[test]
-    fn zipf_is_skewed_toward_low_ranks() {
-        let z = Zipf::new(1000, 1.0).unwrap();
-        let mut rng = SimRng::seed_from(6);
-        let n = 20_000;
-        let rank0 = (0..n).filter(|_| z.sample(&mut rng) == 0).count() as f64 / n as f64;
-        // Harmonic normalisation: P(rank 0) = 1 / H_1000 ≈ 0.133.
-        assert!((rank0 - 0.133).abs() < 0.02, "rank0 {rank0}");
-        assert!(Zipf::new(0, 1.0).is_err());
-        assert!(Zipf::new(10, -1.0).is_err());
-    }
-
-    #[test]
-    fn zipf_samples_stay_in_range() {
-        let z = Zipf::new(7, 0.8).unwrap();
-        let mut rng = SimRng::seed_from(13);
-        for _ in 0..10_000 {
-            assert!(z.sample(&mut rng) < 7);
         }
     }
 }

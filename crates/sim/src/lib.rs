@@ -3,14 +3,13 @@
 //! The paper ("More Apps, Faster Hot-Launch on Mobile Devices via
 //! Fore/Background-aware GC-Swap Co-design", ASPLOS '24) evaluates on a real
 //! Pixel 3. This workspace reproduces the system as a deterministic
-//! discrete-event simulator; this crate provides the three primitives every
-//! other layer builds on:
+//! simulator; this crate provides the two primitives every other layer
+//! builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution virtual clock
 //!   ([`Clock`]) that only moves when the simulation says so,
-//! * [`EventQueue`] — a stable priority queue of timestamped events,
-//! * [`SimRng`] and the [`dist`] module — seeded randomness and the
-//!   size/latency distributions used by the app behaviour models.
+//! * [`SimRng`] and [`SizeDistribution`] — seeded randomness and the
+//!   object-size distribution used by the app behaviour models.
 //!
 //! Everything here is deliberately free of wall-clock time and global state:
 //! two runs with the same seed produce bit-identical traces, which the
@@ -29,11 +28,9 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use dist::{Exponential, LogNormal, SizeDistribution, Zipf};
-pub use event::EventQueue;
+pub use dist::SizeDistribution;
 pub use rng::SimRng;
 pub use time::{Clock, SimDuration, SimTime};

@@ -1,31 +1,10 @@
 //! Property tests on the simulation substrate.
 
-use fleet_sim::{EventQueue, Exponential, SimDuration, SimRng, SimTime, SizeDistribution, Zipf};
+use fleet_sim::{SimDuration, SimRng, SizeDistribution};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn event_queue_pops_sorted_and_stable(
-        events in proptest::collection::vec((0u64..1000, 0u32..1000), 1..300),
-    ) {
-        let mut q = EventQueue::new();
-        for (i, &(at, tag)) in events.iter().enumerate() {
-            q.schedule(SimTime::from_millis(at), (tag, i));
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((at, (_, seq))) = q.pop() {
-            if let Some((prev_at, prev_seq)) = last {
-                prop_assert!(at >= prev_at, "time order violated");
-                if at == prev_at {
-                    prop_assert!(seq > prev_seq, "FIFO tie-break violated");
-                }
-            }
-            last = Some((at, seq));
-        }
-        prop_assert!(q.is_empty());
-    }
 
     #[test]
     fn duration_arithmetic_is_consistent(a in 0u64..u64::MAX / 4, b in 0u64..u64::MAX / 4) {
@@ -68,31 +47,5 @@ proptest! {
         // Small float slack: weighted means of equal sizes can land
         // epsilon outside the bucket range.
         prop_assert!(mean >= min * (1.0 - 1e-9) && mean <= max * (1.0 + 1e-9));
-    }
-
-    #[test]
-    fn exponential_is_nonnegative(mean in 0.001f64..1e6, seed in any::<u64>()) {
-        let exp = Exponential::with_mean(mean).unwrap();
-        let mut rng = SimRng::seed_from(seed);
-        for _ in 0..100 {
-            prop_assert!(exp.sample(&mut rng) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn zipf_stays_in_range_and_prefers_low_ranks(n in 2usize..500, seed in any::<u64>()) {
-        let z = Zipf::new(n, 1.0).unwrap();
-        let mut rng = SimRng::seed_from(seed);
-        let mut low = 0;
-        let samples = 400;
-        for _ in 0..samples {
-            let r = z.sample(&mut rng);
-            prop_assert!(r < n);
-            if r < n.div_ceil(2) {
-                low += 1;
-            }
-        }
-        // The lower half of the ranks receives more than half the mass.
-        prop_assert!(low * 2 >= samples, "low-rank mass {low}/{samples}");
     }
 }

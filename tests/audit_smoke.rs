@@ -8,7 +8,7 @@
 #![cfg(feature = "audit")]
 
 use fleet::probe::{install, shared, AuditPipeline};
-use fleet::{Device, DeviceConfig, SchemeKind};
+use fleet::{Device, DeviceConfig, FleetError, SchemeKind};
 use fleet_apps::profile_by_name;
 
 const APPS: [&str; 4] = ["Twitter", "Youtube", "Chrome", "Telegram"];
@@ -34,12 +34,12 @@ impl Script {
 
 /// Runs one seeded scenario with the auditor installed and returns the
 /// recorder fingerprint `(event_count, hash)`.
-fn run_scenario(scheme: SchemeKind, seed: u64) -> (u64, u64) {
+fn run_scenario(scheme: SchemeKind, seed: u64) -> Result<(u64, u64), FleetError> {
     let pipeline = shared::<AuditPipeline>();
     let _guard = install(pipeline.clone());
     let mut config = DeviceConfig::pixel3(scheme);
     config.seed = seed;
-    let mut dev = Device::new(config);
+    let mut dev = Device::try_new(config)?;
     let mut script = Script(seed);
     for _ in 0..30 {
         match script.below(10) {
@@ -52,7 +52,7 @@ fn run_scenario(scheme: SchemeKind, seed: u64) -> (u64, u64) {
                 if !alive.is_empty() {
                     let pid = alive[script.below(alive.len() as u64) as usize];
                     if dev.foreground() != Some(pid) {
-                        dev.switch_to(pid);
+                        dev.try_switch_to(pid)?;
                     }
                 }
             }
@@ -69,25 +69,27 @@ fn run_scenario(scheme: SchemeKind, seed: u64) -> (u64, u64) {
     let pipe = pipeline.lock().unwrap();
     assert_eq!(pipe.auditor().violations(), 0, "auditor must stay clean");
     assert!(pipe.recorder().event_count() > 0, "scenario must record events");
-    (pipe.recorder().event_count(), pipe.recorder().hash())
+    Ok((pipe.recorder().event_count(), pipe.recorder().hash()))
 }
 
 #[test]
-fn random_scenarios_audit_clean_and_hash_deterministically() {
+fn random_scenarios_audit_clean_and_hash_deterministically() -> Result<(), FleetError> {
     for scheme in SchemeKind::ALL {
         for seed in 1..=2 {
-            let first = run_scenario(scheme, seed);
-            let second = run_scenario(scheme, seed);
+            let first = run_scenario(scheme, seed)?;
+            let second = run_scenario(scheme, seed)?;
             assert_eq!(first, second, "{scheme} seed {seed}: event stream must be deterministic");
         }
     }
+    Ok(())
 }
 
 #[test]
-fn different_seeds_produce_different_event_streams() {
-    let a = run_scenario(SchemeKind::Fleet, 101);
-    let b = run_scenario(SchemeKind::Fleet, 202);
+fn different_seeds_produce_different_event_streams() -> Result<(), FleetError> {
+    let a = run_scenario(SchemeKind::Fleet, 101)?;
+    let b = run_scenario(SchemeKind::Fleet, 202)?;
     assert_ne!(a.1, b.1, "seeds must shape the scenario and its trace");
+    Ok(())
 }
 
 /// Like [`run_scenario`], but against a flaky flash device: launches may

@@ -4,25 +4,25 @@
 //! container iterates in a deterministic order; these tests pin that down,
 //! because the reproduction harness depends on it.
 
-use fleet::{Device, DeviceConfig, SchemeKind};
+use fleet::{Device, DeviceConfig, FleetError, SchemeKind};
 use fleet_apps::{profile_by_name, synthetic_app};
 use fleet_kernel::FaultConfig;
 
 /// A condensed fingerprint of a device run.
-fn fingerprint(scheme: SchemeKind, seed: u64) -> String {
+fn fingerprint(scheme: SchemeKind, seed: u64) -> Result<String, FleetError> {
     let mut config = DeviceConfig::pixel3(scheme);
     config.seed = seed;
-    let mut dev = Device::new(config);
+    let mut dev = Device::try_new(config)?;
     let (a, cold_a) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
     dev.run(8);
     let (b, _) = dev.launch_cold(&profile_by_name("Youtube").unwrap());
     dev.run(20);
-    let hot_a = dev.switch_to(a);
+    let hot_a = dev.try_switch_to(a)?;
     dev.run(8);
-    let hot_b = dev.switch_to(b);
+    let hot_b = dev.try_switch_to(b)?;
     dev.run(4);
     let mm = dev.mm();
-    format!(
+    Ok(format!(
         "{:?}|{:?}|{:?}|faults={} swapped_out={} frames={} kills={} t={}",
         cold_a,
         hot_a,
@@ -32,23 +32,25 @@ fn fingerprint(scheme: SchemeKind, seed: u64) -> String {
         mm.used_frames(),
         dev.kills().len(),
         dev.now(),
-    )
+    ))
 }
 
 #[test]
-fn same_seed_is_bit_identical_for_every_scheme() {
+fn same_seed_is_bit_identical_for_every_scheme() -> Result<(), FleetError> {
     for scheme in SchemeKind::ALL {
-        let a = fingerprint(scheme, 42);
-        let b = fingerprint(scheme, 42);
+        let a = fingerprint(scheme, 42)?;
+        let b = fingerprint(scheme, 42)?;
         assert_eq!(a, b, "{scheme} must be deterministic");
     }
+    Ok(())
 }
 
 #[test]
-fn different_seeds_diverge() {
-    let a = fingerprint(SchemeKind::Fleet, 1);
-    let b = fingerprint(SchemeKind::Fleet, 2);
+fn different_seeds_diverge() -> Result<(), FleetError> {
+    let a = fingerprint(SchemeKind::Fleet, 1)?;
+    let b = fingerprint(SchemeKind::Fleet, 2)?;
     assert_ne!(a, b, "seeds must matter (launch jitter, graph shapes)");
+    Ok(())
 }
 
 /// Like [`fingerprint`], but under an armed fault plan: launches may fail
@@ -102,7 +104,7 @@ fn armed_fault_plans_are_deterministic_and_never_panic() {
 }
 
 #[test]
-fn quiet_fault_plan_is_bit_identical_to_no_plan() {
+fn quiet_fault_plan_is_bit_identical_to_no_plan() -> Result<(), FleetError> {
     // FaultConfig::default() must not change a single observable byte —
     // the property the golden-trace gate rests on.
     let quiet = {
@@ -114,31 +116,32 @@ fn quiet_fault_plan_is_bit_identical_to_no_plan() {
         assert!(config.fault.is_quiet());
         config
     };
-    let mut dev = Device::try_new(quiet).unwrap();
+    let mut dev = Device::try_new(quiet)?;
     let (a, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
     dev.run(10);
-    let hot = dev.switch_to(a);
+    let hot = dev.try_switch_to(a)?;
     let with_plan = format!("{:?}|{}|{}", hot, dev.mm().stats().faults, dev.mm().used_frames());
     assert_eq!(dev.sigbus_kills(), 0);
     assert_eq!(dev.mm().stats().fault_retries, 0);
 
-    let mut dev2 = Device::new({
+    let mut dev2 = Device::try_new({
         let mut c = DeviceConfig::pixel3(SchemeKind::Fleet);
         c.seed = 42;
         c
-    });
+    })?;
     let (a2, _) = dev2.launch_cold(&profile_by_name("Twitter").unwrap());
     dev2.run(10);
-    let hot2 = dev2.switch_to(a2);
+    let hot2 = dev2.try_switch_to(a2)?;
     let without_plan =
         format!("{:?}|{}|{}", hot2, dev2.mm().stats().faults, dev2.mm().used_frames());
     assert_eq!(with_plan, without_plan, "quiet plan diverged from plan-free device");
+    Ok(())
 }
 
 #[test]
-fn capacity_run_is_deterministic() {
-    let run = || {
-        let mut dev = Device::new(DeviceConfig::pixel3(SchemeKind::Android));
+fn capacity_run_is_deterministic() -> Result<(), FleetError> {
+    let run = || -> Result<_, FleetError> {
+        let mut dev = Device::try_new(DeviceConfig::pixel3(SchemeKind::Android))?;
         let app = synthetic_app(2048, 180);
         let mut curve = Vec::new();
         for _ in 0..14 {
@@ -146,9 +149,10 @@ fn capacity_run_is_deterministic() {
             dev.run(6);
             curve.push(dev.cached_apps());
         }
-        (curve, dev.kills().len(), dev.mm().swap().used_pages())
+        Ok((curve, dev.kills().len(), dev.mm().swap().used_pages()))
     };
-    assert_eq!(run(), run());
+    assert_eq!(run()?, run()?);
+    Ok(())
 }
 
 /// Runs a cheap slice of the registry and fingerprints everything a user

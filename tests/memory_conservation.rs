@@ -3,7 +3,7 @@
 //! Whatever the schemes do — copying GCs, object swaps, madvise, LMK kills —
 //! pages and frames must always add up.
 
-use fleet::{Device, DeviceConfig, SchemeKind};
+use fleet::{Device, DeviceConfig, FleetError, SchemeKind};
 use fleet_apps::{profile_by_name, synthetic_app};
 use fleet_heap::PAGE_SIZE;
 
@@ -36,14 +36,14 @@ fn check_invariants(dev: &Device) {
 }
 
 #[test]
-fn invariants_hold_through_a_stormy_run() {
+fn invariants_hold_through_a_stormy_run() -> Result<(), FleetError> {
     for scheme in SchemeKind::ALL {
         // With `--features audit` the run additionally streams every state
         // transition through the online invariant auditor, which panics on
         // the first violation with the flight-recorder ring as context.
         #[cfg(feature = "audit")]
         let _guard = fleet::probe::install(fleet::probe::shared::<fleet::probe::AuditPipeline>());
-        let mut dev = Device::new(DeviceConfig::pixel3(scheme));
+        let mut dev = Device::try_new(DeviceConfig::pixel3(scheme))?;
         let apps = [
             profile_by_name("Twitter").unwrap(),
             profile_by_name("Youtube").unwrap(),
@@ -65,19 +65,20 @@ fn invariants_hold_through_a_stormy_run() {
         // Hot-launch whatever survived.
         for pid in dev.alive() {
             if dev.try_process(pid).is_ok() && dev.foreground() != Some(pid) {
-                dev.switch_to(pid);
+                dev.try_switch_to(pid)?;
                 dev.run(2);
                 check_invariants(&dev);
             }
         }
     }
+    Ok(())
 }
 
 #[test]
-fn killing_everything_returns_all_memory() {
+fn killing_everything_returns_all_memory() -> Result<(), FleetError> {
     #[cfg(feature = "audit")]
     let _guard = fleet::probe::install(fleet::probe::shared::<fleet::probe::AuditPipeline>());
-    let mut dev = Device::new(DeviceConfig::pixel3(SchemeKind::Fleet));
+    let mut dev = Device::try_new(DeviceConfig::pixel3(SchemeKind::Fleet))?;
     for _ in 0..6 {
         dev.launch_cold(&synthetic_app(2048, 180));
         dev.run(12);
@@ -95,20 +96,22 @@ fn killing_everything_returns_all_memory() {
         dev.mm().used_frames()
     );
     assert_eq!(dev.mm().swap().used_pages(), 0, "kills must release swap slots");
+    Ok(())
 }
 
 #[test]
-fn gc_epochs_and_heap_limits_progress() {
-    let mut dev = Device::new(DeviceConfig::pixel3(SchemeKind::Android));
+fn gc_epochs_and_heap_limits_progress() -> Result<(), FleetError> {
+    let mut dev = Device::try_new(DeviceConfig::pixel3(SchemeKind::Android))?;
     let (pid, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
     dev.run(5);
     dev.launch_cold(&profile_by_name("Telegram").unwrap());
     dev.run(120); // a couple of background maintenance GCs
-    let proc = dev.process(pid);
+    let proc = dev.try_process(pid)?;
     assert!(proc.heap.gc_epoch() >= 1);
     assert!(proc.heap.limit() >= proc.heap.live_bytes(), "limit below live would GC-storm");
     assert!(!proc.gcs.is_empty());
     for record in &proc.gcs {
         assert!(record.stats.duration() > fleet_sim::SimDuration::ZERO);
     }
+    Ok(())
 }

@@ -39,7 +39,7 @@ fn run_script(scheme: SchemeKind, seed: u64, script: &[Action]) -> Vec<PlacedSpa
         let _guard = install(pipeline.clone());
         let mut config = DeviceConfig::pixel3(scheme);
         config.seed = seed;
-        let mut dev = Device::new(config);
+        let mut dev = Device::try_new(config).expect("pixel3 config is valid");
         for &action in script {
             match action {
                 Action::Launch(i) => {
@@ -51,7 +51,7 @@ fn run_script(scheme: SchemeKind, seed: u64, script: &[Action]) -> Vec<PlacedSpa
                     if !alive.is_empty() {
                         let pid = alive[i as usize % alive.len()];
                         if dev.foreground() != Some(pid) {
-                            dev.switch_to(pid);
+                            dev.try_switch_to(pid).expect("quiet devices launch every live app");
                         }
                     }
                 }

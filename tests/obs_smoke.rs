@@ -126,7 +126,7 @@ fn uninstalled_runs_record_nothing() {
 }
 
 #[test]
-fn swam_daemon_emits_proactive_reclaim_spans() {
+fn swam_daemon_emits_proactive_reclaim_spans() -> Result<(), fleet::FleetError> {
     // The proactive daemon's drains surface on the kernel track: one
     // `proactive_reclaim` root per firing tick, plus the matching pages
     // counter — and only when the policy is Swam (the goldens pin the
@@ -141,9 +141,8 @@ fn swam_daemon_emits_proactive_reclaim_spans() {
             .seed(9)
             .reclaim_policy(swam)
             .kill_policy(KillPolicy::WssWeighted)
-            .build()
-            .unwrap();
-        let mut dev = Device::new(config);
+            .build()?;
+        let mut dev = Device::try_new(config)?;
         for name in pool_apps() {
             dev.launch_cold(&profile_by_name(&name).unwrap());
             dev.run(10);
@@ -170,4 +169,5 @@ fn swam_daemon_emits_proactive_reclaim_spans() {
         .sum();
     assert_eq!(reclaimed, pages, "span args must reconcile with the kernel counter");
     assert_eq!(pipe.metrics().counter("kernel.proactive_swapout_pages"), pages);
+    Ok(())
 }

@@ -151,7 +151,7 @@ mod invisibility {
 mod swam_audit {
     use super::*;
     use fleet::probe::{install, shared, AuditPipeline};
-    use fleet::SwamParams;
+    use fleet::{FleetError, SwamParams};
 
     /// One Swam scenario under the auditor; returns `(events, hash)`.
     fn swam_scenario(scheme: SchemeKind, seed: u64, fault: Option<f64>) -> (u64, u64) {
@@ -189,7 +189,7 @@ mod swam_audit {
     }
 
     #[test]
-    fn swam_proactive_daemon_fires_and_audits_clean() {
+    fn swam_proactive_daemon_fires_and_audits_clean() -> Result<(), FleetError> {
         // A background-heavy script on the paper's scheme: several apps
         // cached behind the foreground with long run stretches, so the
         // idle clocks cross the (single-epoch) threshold and the daemon
@@ -201,9 +201,8 @@ mod swam_audit {
             .seed(9)
             .reclaim_policy(swam)
             .kill_policy(KillPolicy::WssWeighted)
-            .build()
-            .unwrap();
-        let mut dev = Device::new(config);
+            .build()?;
+        let mut dev = Device::try_new(config)?;
         for name in APPS {
             dev.launch_cold(&profile_by_name(name).unwrap());
             dev.run(10);
@@ -215,6 +214,7 @@ mod swam_audit {
         drop(dev);
         let pipe = pipeline.lock().unwrap();
         assert_eq!(pipe.auditor().violations(), 0, "proactive stream must audit clean");
+        Ok(())
     }
 
     /// The audit streams themselves (not just the kernel counters) are
