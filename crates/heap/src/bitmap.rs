@@ -1,6 +1,6 @@
 //! Dense mark bitmaps over arena slot indices.
 //!
-//! Both [`ObjectId`](crate::ObjectId) and [`RegionId`](crate::RegionId) are
+//! Both [`ObjectId`] and [`RegionId`] are
 //! dense arena indices (slots are never renumbered), so a flat bitmap of one
 //! bit per slot replaces the `HashSet` visited/marked sets the tracing
 //! collectors used to carry: marking becomes a shift, a mask and an OR on a

@@ -8,7 +8,7 @@
 //! first; pinned system processes are exempt.
 //!
 //! Kill *ordering* is a [`crate::reclaim::KillPolicy`] variant
-//! (`ColdestFirst` wraps [`coldest_victim`]) and kill *execution* lives in
+//! (`ColdestFirst` wraps `coldest_victim`) and kill *execution* lives in
 //! [`crate::reclaim::ReclaimDriver`], which also owns the reclaim daemon
 //! tick. The deprecated one-release shims this module used to carry
 //! (`choose_victim`, `Lmkd::kill_one`, `Lmkd::escalate`) have been removed;

@@ -12,3 +12,9 @@ pub use fleet_heap as heap;
 pub use fleet_kernel as kernel;
 pub use fleet_metrics as metrics;
 pub use fleet_sim as sim;
+
+/// Compiles README.md's Rust examples as doctests, so they cannot drift
+/// from the API they show.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
