@@ -97,42 +97,26 @@ pub struct SpeedupRow {
 /// Panics if the dataset does not contain exactly those three schemes in
 /// order.
 pub fn speedups_at(data: &[HotLaunchData], p: f64) -> Vec<SpeedupRow> {
-    assert_eq!(data.len(), 3, "expected [Android, Marvin, Fleet]");
-    assert_eq!(data[0].scheme, "Android");
-    assert_eq!(data[1].scheme, "Marvin");
-    assert_eq!(data[2].scheme, "Fleet");
-    let mut rows = Vec::new();
-    for app in data[0].per_app_ms.keys() {
-        let stat = |d: &HotLaunchData| d.summary(app).percentile(p);
-        let android = stat(&data[0]);
-        let marvin = stat(&data[1]);
-        let fleet = stat(&data[2]);
-        if fleet <= 0.0 {
-            continue;
-        }
-        let profile = profile_by_name(app).expect("catalog app");
-        rows.push(SpeedupRow {
-            app: app.clone(),
-            android_ms: android,
-            marvin_ms: marvin,
-            fleet_ms: fleet,
-            speedup_vs_android: android / fleet,
-            speedup_vs_marvin: marvin / fleet,
-            java_heap_pct: profile.java_heap_percent,
-        });
-    }
-    rows
+    speedup_rows(data, |s| s.percentile(p))
 }
 
 /// Mean-based speedups with standard deviations (Figure 15c).
+///
+/// # Panics
+///
+/// Panics if the dataset does not contain exactly Android, Marvin and
+/// Fleet in that order.
 pub fn mean_speedups(data: &[HotLaunchData]) -> Vec<SpeedupRow> {
-    assert_eq!(data.len(), 3, "expected [Android, Marvin, Fleet]");
+    speedup_rows(data, Summary::mean)
+}
+
+/// Per-app speedup rows, `stat` taken of each scheme's samples.
+fn speedup_rows(data: &[HotLaunchData], stat: impl Fn(&Summary) -> f64) -> Vec<SpeedupRow> {
+    let schemes: Vec<&str> = data.iter().map(|d| d.scheme.as_str()).collect();
+    assert_eq!(schemes, ["Android", "Marvin", "Fleet"], "expected [Android, Marvin, Fleet]");
     let mut rows = Vec::new();
     for app in data[0].per_app_ms.keys() {
-        let stat = |d: &HotLaunchData| d.summary(app).mean();
-        let android = stat(&data[0]);
-        let marvin = stat(&data[1]);
-        let fleet = stat(&data[2]);
+        let [android, marvin, fleet] = [0, 1, 2].map(|i| stat(&data[i].summary(app)));
         if fleet <= 0.0 {
             continue;
         }
@@ -375,6 +359,15 @@ mod tests {
         assert!(p90 > 1.2, "tail speedup {p90}");
         // §7.2: the tail improvement (2.56×) exceeds the median one (1.59×).
         assert!(p90 >= 0.8 * p50, "p90 {p90} should not collapse vs p50 {p50}");
+    }
+
+    #[test]
+    #[should_panic(expected = "expected [Android, Marvin, Fleet]")]
+    fn mean_speedups_reject_misordered_schemes() {
+        mean_speedups(&["Fleet", "Marvin", "Android"].map(|scheme| HotLaunchData {
+            scheme: scheme.to_string(),
+            per_app_ms: BTreeMap::from([("Twitter".to_string(), vec![100.0])]),
+        }));
     }
 
     #[test]

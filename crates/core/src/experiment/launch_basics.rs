@@ -36,31 +36,12 @@ pub fn fig2(seed: u64, launches: usize) -> Result<Vec<Fig2Row>, FleetError> {
     fig2_configured(seed, launches, ReclaimPolicy::Reactive, IntegrityConfig::default())
 }
 
-/// [`fig2`] with an explicit [`ReclaimPolicy`]. The bench harness times
-/// the same workload under `Reactive` and under a `Swam` variant whose
-/// daemon never fires (`idle_epochs = u32::MAX`), isolating the cost of
-/// the always-on working-set tracking on the hot-launch path.
-pub fn fig2_with_policy(
-    seed: u64,
-    launches: usize,
-    policy: ReclaimPolicy,
-) -> Result<Vec<Fig2Row>, FleetError> {
-    fig2_configured(seed, launches, policy, IntegrityConfig::default())
-}
-
-/// [`fig2`] with an explicit [`IntegrityConfig`]. The bench harness times
-/// the same workload with the layer off and with `checked()` armed over a
-/// quiet fault plan, isolating the per-slot checksum bookkeeping cost on
-/// the launch path.
-pub fn fig2_with_integrity(
-    seed: u64,
-    launches: usize,
-    integrity: IntegrityConfig,
-) -> Result<Vec<Fig2Row>, FleetError> {
-    fig2_configured(seed, launches, ReclaimPolicy::Reactive, integrity)
-}
-
-fn fig2_configured(
+/// [`fig2`] on devices with an explicit [`ReclaimPolicy`] and swap
+/// [`IntegrityConfig`]. `fleet-bench` times it under a `Swam` policy whose
+/// daemon never fires and with `IntegrityConfig::checked()` over a quiet
+/// fault plan, isolating the cost of working-set tracking and of per-slot
+/// checksums on the hot-launch path.
+pub fn fig2_configured(
     seed: u64,
     launches: usize,
     policy: ReclaimPolicy,

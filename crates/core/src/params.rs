@@ -64,6 +64,12 @@ impl SchemeKind {
     pub const ALL: [SchemeKind; 4] =
         [SchemeKind::AndroidNoSwap, SchemeKind::Android, SchemeKind::Marvin, SchemeKind::Fleet];
 
+    /// The scheme's position in [`SchemeKind::ALL`], which lists the
+    /// variants in declaration order.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Table 1's "GC approach" column.
     pub fn gc_approach(self) -> &'static str {
         match self {
@@ -122,7 +128,8 @@ mod tests {
 
     #[test]
     fn table1_rows_are_complete() {
-        for scheme in SchemeKind::ALL {
+        for (i, scheme) in SchemeKind::ALL.into_iter().enumerate() {
+            assert_eq!(scheme.index(), i);
             assert!(!scheme.gc_approach().is_empty());
             assert!(!scheme.swap_granularity().is_empty());
             assert!(!scheme.swap_scheme().is_empty());

@@ -797,10 +797,6 @@ pub struct PopulationAggregate {
     pub slo_verdicts: Vec<SloVerdict>,
 }
 
-fn scheme_index(scheme: SchemeKind) -> usize {
-    SchemeKind::ALL.iter().position(|&s| s == scheme).expect("scheme in ALL")
-}
-
 impl PopulationAggregate {
     /// An empty aggregate sized for a cohort of `cohort_devices`.
     pub fn new(cohort_devices: u32, slice_len: u32) -> Self {
@@ -868,7 +864,7 @@ impl PopulationAggregate {
         self.slots_quarantined += row.slots_quarantined;
         self.tiers_retired += row.tiers_retired;
         self.sim_secs += row.sim_secs;
-        let si = scheme_index(row.scheme);
+        let si = row.scheme.index();
         self.scheme_devices[si] += 1;
         self.scheme_lmk_kills[si] += row.lmk_kills;
         for &us in &row.hot_launch_us {

@@ -267,10 +267,6 @@ pub struct CohortTelemetry {
     pub kill_outliers: OutlierPool,
 }
 
-fn scheme_index(scheme: SchemeKind) -> usize {
-    SchemeKind::ALL.iter().position(|&s| s == scheme).expect("scheme in ALL")
-}
-
 impl CohortTelemetry {
     /// An empty telemetry aggregate sized for `cohort_devices` devices in
     /// slices of `slice_len`.
@@ -316,7 +312,7 @@ impl CohortTelemetry {
 
     /// Folds one device-day in.
     pub fn absorb(&mut self, row: &DeviceDayRow) {
-        let si = scheme_index(row.scheme);
+        let si = row.scheme.index();
         for span in &row.hot_spans {
             self.overall.absorb(span);
             self.schemes[si].absorb(span);

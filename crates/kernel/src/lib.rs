@@ -62,8 +62,6 @@ pub use mm::{
     AccessKind, AccessOutcome, Advice, KernelStats, MemoryManager, MmConfig, MmError, ScrubReport,
     WssSnapshot,
 };
-#[doc(hidden)]
-pub use mm::{PageEntry, PageTable};
 pub use page::{PageKey, PageKind, PageState, Pid, PAGE_SIZE};
 pub use reclaim::{KillPolicy, ReclaimDriver, ReclaimPolicy, SwamParams};
 pub use swap::{SwapConfig, SwapConfigBuilder, SwapDevice, SwapError, SwapMedium, TierStats};
@@ -81,7 +79,6 @@ const _: () = {
     assert_send::<SwapStack>();
     assert_send::<SwapDevice>();
     assert_send::<FaultPlan>();
-    assert_send::<PageTable>();
     assert_send::<LruQueue>();
     assert_send::<ReclaimDriver>();
     assert_send::<KernelStats>();

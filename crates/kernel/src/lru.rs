@@ -357,8 +357,8 @@ impl LruQueue {
 /// * the differential proptests, which drive it and [`LruQueue`]
 ///   through identical random op sequences and assert identical pop
 ///   order, and
-/// * `fleet-bench`, which times it as the committed `baseline_ops_per_sec`
-///   in `BENCH_kernel.json`.
+/// * `fleet-bench`, which times it as `lru.baseline_ns_per_op` in
+///   `BENCH_kernel.json`, the report's host-speed check.
 ///
 /// It is not part of the supported API surface.
 #[doc(hidden)]

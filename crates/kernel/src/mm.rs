@@ -19,9 +19,9 @@
 //! # Data layout
 //!
 //! Page metadata lives in real-page-table-shaped structures rather than
-//! maps: each process owns a [`PageTable`] — a short sorted list of address
+//! maps: each process owns a `PageTable` — a short sorted list of address
 //! segments, each a directory of 512-page chunks holding one 8-byte
-//! [`PageEntry`] (`flags` + LRU node handle) per page. A page lookup is a
+//! `PageEntry` (`flags` + LRU node handle) per page. A page lookup is a
 //! couple of compares plus two array indexes; no hashing, no tree walk.
 //! The entry stores the page's [`LruHandle`], so every LRU operation on the
 //! access/fault/reclaim paths is O(1) pointer surgery in the intrusive
@@ -346,12 +346,8 @@ const NO_NODE: u32 = u32::MAX;
 /// One page's metadata: state flags plus its LRU node handle. 8 bytes —
 /// 512 entries pack into one 4 KiB chunk, so walking a range of pages is a
 /// linear scan of one array.
-///
-/// Public only for `fleet-bench`'s page-table microbenchmark; not part of
-/// the supported API surface.
-#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageEntry {
+struct PageEntry {
     flags: u8,
     /// Raw [`LruHandle`] of the page's node, or [`NO_NODE`].
     node: u32,
@@ -360,19 +356,19 @@ pub struct PageEntry {
 impl PageEntry {
     const EMPTY: PageEntry = PageEntry { flags: 0, node: NO_NODE };
 
-    pub fn is_mapped(self) -> bool {
+    fn is_mapped(self) -> bool {
         self.flags & PE_MAPPED != 0
     }
-    pub fn is_resident(self) -> bool {
+    fn is_resident(self) -> bool {
         self.flags & PE_RESIDENT != 0
     }
-    pub fn is_file(self) -> bool {
+    fn is_file(self) -> bool {
         self.flags & PE_FILE != 0
     }
-    pub fn is_pinned(self) -> bool {
+    fn is_pinned(self) -> bool {
         self.flags & PE_PINNED != 0
     }
-    pub fn is_zram(self) -> bool {
+    fn is_zram(self) -> bool {
         self.flags & PE_ZRAM != 0
     }
 }
@@ -419,12 +415,8 @@ impl Segment {
 /// Fleet processes have three widely separated address areas (Java heap
 /// near 0, native at 2⁴⁰, file mappings at 2⁴¹), so the list stays at a
 /// handful of entries and lookup is a couple of compares.
-///
-/// Public only for `fleet-bench`'s page-table microbenchmark; not part of
-/// the supported API surface.
-#[doc(hidden)]
 #[derive(Debug, Clone, Default)]
-pub struct PageTable {
+struct PageTable {
     segs: Vec<Segment>,
     mapped: u64,
     resident: u64,
@@ -433,7 +425,7 @@ pub struct PageTable {
 
 impl PageTable {
     /// The entry for `page`, if mapped.
-    pub fn entry(&self, page: u64) -> Option<PageEntry> {
+    fn entry(&self, page: u64) -> Option<PageEntry> {
         let c = page / CHUNK_PAGES;
         for seg in &self.segs {
             if c < seg.first_chunk {
@@ -502,7 +494,7 @@ impl PageTable {
 
     /// Maps `page` (must not be mapped) as resident, with the given kind
     /// and LRU node.
-    pub fn map(&mut self, page: u64, file: bool, node: u32) {
+    fn map(&mut self, page: u64, file: bool, node: u32) {
         let c = page / CHUNK_PAGES;
         let i = self.seg_index_for(c);
         let off = (c - self.segs[i].first_chunk) as usize;
@@ -517,7 +509,7 @@ impl PageTable {
 
     /// Unmaps `page`, returning its last entry; frees the chunk when it
     /// holds no other mapped pages.
-    pub fn unmap(&mut self, page: u64) -> Option<PageEntry> {
+    fn unmap(&mut self, page: u64) -> Option<PageEntry> {
         let c = page / CHUNK_PAGES;
         for seg in &mut self.segs {
             if c < seg.first_chunk {
@@ -549,7 +541,7 @@ impl PageTable {
     }
 
     /// Flips a mapped page to `Swapped` and clears its LRU node.
-    pub fn set_swapped(&mut self, page: u64) {
+    fn set_swapped(&mut self, page: u64) {
         let e = match self.entry_mut(page) {
             Some(e) => e,
             None => panic!("page-table invariant violated: set_swapped on unmapped page {page}"),
@@ -562,7 +554,7 @@ impl PageTable {
     }
 
     /// Flips a mapped page to `Resident` with the given LRU node.
-    pub fn set_resident(&mut self, page: u64, node: u32) {
+    fn set_resident(&mut self, page: u64, node: u32) {
         let e = match self.entry_mut(page) {
             Some(e) => e,
             None => panic!("page-table invariant violated: set_resident on unmapped page {page}"),
@@ -575,7 +567,7 @@ impl PageTable {
     }
 
     /// Mapped pages in ascending page-index order.
-    pub fn iter_mapped(&self) -> impl Iterator<Item = (u64, PageEntry)> + '_ {
+    fn iter_mapped(&self) -> impl Iterator<Item = (u64, PageEntry)> + '_ {
         self.segs.iter().flat_map(|seg| {
             seg.chunks
                 .iter()
