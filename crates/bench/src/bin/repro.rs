@@ -39,7 +39,6 @@
 //! roughly what factor, where crossovers fall — is the reproduction target.
 //! EXPERIMENTS.md records a snapshot of this output with commentary.
 
-use fleet::experiment::export::ExportRecord;
 use fleet::experiment::harness;
 use fleet_metrics::Table;
 
@@ -224,9 +223,7 @@ fn main() {
                 print!("{}", output.render());
                 if let Some(dir) = &opts.export {
                     for artifact in &output.exports {
-                        let record =
-                            ExportRecord::new(&artifact.id, &artifact.paper, &artifact.data);
-                        match record.write_to_dir(dir) {
+                        match artifact.write_to_dir(dir) {
                             Ok(path) => println!("[exported {}]", path.display()),
                             Err(e) => {
                                 eprintln!("export of {} failed: {e}", artifact.id);

@@ -233,15 +233,20 @@ impl<'a> Row<'a> {
     }
 }
 
-/// The one timer. Runs `rows` in rotation for `rounds` rounds. In each
-/// round a row's sample is the time its `run` calls took until `min_secs`
-/// passed (at least one call), over the units they did. There is no warmup
-/// round: the median absorbs a cold first one.
+/// The one timer. Runs `rows` in rotation for `rounds` rounds, in reverse
+/// order on odd rounds so no row always runs right after the same one. In
+/// each round a row's sample is the time its `run` calls took until
+/// `min_secs` passed (at least one call), over the units they did. There
+/// is no warmup round: the median absorbs a cold first one.
 fn time_rows<const N: usize>(mut rows: [Row<'_>; N], rounds: usize, min_secs: f64) -> [Stat; N] {
     let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(rounds));
-    for round in 1..=rounds {
-        eprintln!("round {round}/{rounds}: {N} rows…");
-        for (row, samples) in rows.iter_mut().zip(&mut samples) {
+    for round in 0..rounds {
+        eprintln!("round {}/{rounds}: {N} rows…", round + 1);
+        let mut order: Vec<_> = rows.iter_mut().zip(&mut samples).collect();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for (row, samples) in order {
             let (mut secs, mut units) = (0.0, 0u64);
             while units == 0 || secs < min_secs {
                 (row.prepare)();
@@ -672,6 +677,24 @@ mod tests {
             Some((_, serde::Value::Object(section))) => section,
             _ => panic!("no `{name}` section"),
         }
+    }
+
+    #[test]
+    fn rows_alternate_their_order() {
+        let log = RefCell::new(Vec::new());
+        let row = |id: usize| {
+            let log = &log;
+            Row::ns(move || {
+                log.borrow_mut().push(id);
+                1
+            })
+        };
+        time_rows([row(0), row(1)], 4, 0.0);
+        let log = log.into_inner();
+        assert_eq!(log.len(), 8, "one call per row and round");
+        let firsts: Vec<usize> = log.chunks(2).map(|round| round[0]).collect();
+        assert_eq!(firsts.iter().filter(|&&id| id == 0).count(), 2, "{log:?}");
+        assert_eq!(firsts.iter().filter(|&&id| id == 1).count(), 2, "{log:?}");
     }
 
     #[test]

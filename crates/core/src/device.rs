@@ -12,7 +12,8 @@
 //! * **Fleet** — the §5.1 workflow: Ts after backgrounding run the RGS
 //!   grouping GC, `madvise(COLD_RUNTIME)` the cold ranges, periodically
 //!   `madvise(HOT_RUNTIME)` the launch ranges, and run BGC instead of full
-//!   GCs while cached; Tf after foregrounding, stop.
+//!   GCs while cached; stop at the foreground switch (the paper waits
+//!   Tf = 3 s first, which is not modelled).
 //!
 //! Hot-launches are measured exactly as the paper defines them: time to
 //! first frame = render cost + page-fault stalls on the launch working set
@@ -446,24 +447,18 @@ impl Device {
         pipeline.counter_add("gc.collections", 1);
     }
 
-    /// Emits the hot-launch span family: a root `launch` span of the full
-    /// time-to-first-frame with `cpu` / `fault_in` / `gc_pause` children
-    /// laid end to end — their durations sum *exactly* to the root's, which
-    /// is what the `launch_attribution` experiment decomposes. On hybrid
-    /// swap stacks the `fault_in` child additionally nests a `decompress`
-    /// span covering the portion of the stall spent inflating zram slots;
-    /// flash-only devices emit no such span, keeping their traces
-    /// unchanged.
+    /// Emits the launch span family: a root `launch` span of the full
+    /// time-to-first-frame with the report's `cpu` / `fault_in` /
+    /// `gc_pause` children ([`LaunchReport::spans`]) laid end to end —
+    /// their durations sum *exactly* to the root's, which is what the
+    /// `launch_attribution` experiment decomposes. On hybrid swap stacks
+    /// the `fault_in` child additionally nests a `decompress` span covering
+    /// the portion of the stall spent inflating zram slots; flash-only
+    /// devices emit no such span, keeping their traces unchanged.
     #[cfg(feature = "obs")]
-    fn obs_launch_span(
-        &mut self,
-        pid: Pid,
-        report: &LaunchReport,
-        cpu: SimDuration,
-        fault_in: SimDuration,
-        gc_pause: SimDuration,
-    ) {
+    fn obs_launch_span(&mut self, pid: Pid, report: &LaunchReport) {
         let Some(obs) = &self.obs else { return };
+        let (cpu, fault_in, gc_pause) = report.spans();
         let total = report.total.as_nanos();
         let faulted = report.faulted_pages;
         let root_name = match report.kind {
@@ -695,7 +690,6 @@ impl Device {
             marvin_swap_due: None,
             fleet: FleetProcState::default(),
             next_bg_gc: None,
-            last_launch_faults: Vec::new(),
         };
         self.procs.insert(pid, proc);
         probe!(audit, self.audit_spawn(pid));
@@ -720,10 +714,7 @@ impl Device {
         let proc = self.procs.get_mut(&pid).expect("just inserted");
         proc.cpu.charge(ThreadClass::Mutator, total);
         proc.launches.push(report);
-        probe!(
-            obs,
-            self.obs_launch_span(pid, &report, total, SimDuration::ZERO, SimDuration::ZERO)
-        );
+        probe!(obs, self.obs_launch_span(pid, &report));
         self.clock.advance(total);
         (pid, report)
     }
@@ -879,7 +870,6 @@ impl Device {
             page_runs(&pages).into_iter().map(|(p, n)| (p * PAGE_SIZE, n * PAGE_SIZE)).collect();
         history.push((native_base, native_touch));
         history.push((file_base, file_touch));
-        proc.last_launch_faults = history.clone();
         let name = proc.name.clone();
         proc.cpu.charge(ThreadClass::Mutator, render);
         proc.launches.push(report);
@@ -888,16 +878,7 @@ impl Device {
         // the launch's `alloc` instants and the launch span family all
         // anchor at the launch window.
         probe!(obs, self.obs_flush());
-        probe!(
-            obs,
-            self.obs_launch_span(
-                pid,
-                &report,
-                render,
-                outcome.latency + prefetch_stall,
-                gc_stw + gc_stall + marvin_resume,
-            )
-        );
+        probe!(obs, self.obs_launch_span(pid, &report));
         self.clock.advance(total);
         Ok(report)
     }

@@ -2,10 +2,10 @@
 //!
 //! Not a paper figure — an observability study built on the same launch
 //! accounting the tracing spans expose (DESIGN.md §10). Each hot launch
-//! under the §7.2 pressure protocol is decomposed into the three addends
-//! of [`crate::process::LaunchReport`]: fault-in stalls (demand faults on
-//! the launch working set plus the unoverlapped prefetch excess), GC
-//! pauses (launch-GC stop-the-world, its fault stalls, and Marvin's stub
+//! under the §7.2 pressure protocol is decomposed into the three spans of
+//! [`crate::process::LaunchReport::spans`]: fault-in stalls (demand faults
+//! on the launch working set, the launch GC's faults, and the unoverlapped
+//! prefetch excess), GC pauses (launch-GC stop-the-world and Marvin's stub
 //! reconciliation), and pure CPU render time. The three components sum to
 //! the end-to-end latency *exactly* — the experiment asserts the
 //! reconciliation rather than trusting it.
@@ -28,12 +28,13 @@ pub struct AttributionRow {
     pub launches: usize,
     /// Mean end-to-end time-to-first-frame, ms.
     pub total_ms: f64,
-    /// Mean page-fault stall share, ms (launch faults + prefetch excess).
+    /// Mean page-fault stall share, ms (launch faults + launch-GC faults +
+    /// prefetch excess).
     pub fault_in_ms: f64,
     /// Mean zram decompression share, ms — a *subset* of `fault_in_ms`,
     /// nonzero only on hybrid swap stacks.
     pub decompress_ms: f64,
-    /// Mean GC share, ms (launch-GC pause + stalls + stub reconciliation).
+    /// Mean GC share, ms (launch-GC pause + stub reconciliation).
     pub gc_ms: f64,
     /// Mean CPU render share, ms (the remainder; always `total - fault_in
     /// - gc` by construction).

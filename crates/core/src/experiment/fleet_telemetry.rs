@@ -7,7 +7,7 @@
 //!
 //! 1. **Cohort span attribution** — per-scheme and per-device-class
 //!    launch-latency decomposition (cpu / fault_in / decompress /
-//!    gc_pause) from the [`crate::telemetry::CohortTelemetry`] fold.
+//!    gc_pause) from the [`PopulationAggregate`] fold.
 //! 2. **SLO monitors** — two demo objectives over burn-rate windows: a
 //!    deliberately *breaching* `hot-p99 ≤ 250 ms` (the paper-grade
 //!    target a real Swam-era fleet misses) and a *passing*
@@ -23,10 +23,9 @@ use crate::error::FleetError;
 use crate::experiment::harness::{Experiment, ExperimentCtx, ExperimentOutput};
 use crate::experiment::population::cohort_devices;
 use crate::params::SchemeKind;
-use crate::population::{run_population, PopulationSpec};
+use crate::population::{run_population, PopulationAggregate, PopulationSpec};
 use crate::telemetry::{
-    drill_down, CohortTelemetry, DrilldownRecord, LaunchAttribution, Outlier, SloMetric, SloSpec,
-    SloVerdict,
+    drill_down, DrilldownRecord, LaunchAttribution, Outlier, SloMetric, SloSpec, SloVerdict,
 };
 use fleet_metrics::Table;
 use serde::Serialize;
@@ -91,7 +90,7 @@ impl AttributionSummary {
 
 /// The export payload (`fleet_telemetry.json`): attribution rows, SLO
 /// verdicts with the exit-code-relevant `slo_pass`, ranked outliers, any
-/// drill-down records, and the full telemetry sub-aggregate.
+/// drill-down records, and the full cohort aggregate.
 #[derive(Debug, Clone, Serialize)]
 pub struct TelemetryExport {
     /// Population master seed.
@@ -113,8 +112,8 @@ pub struct TelemetryExport {
     pub outliers: Vec<Outlier>,
     /// Replay records when `--drilldown` was given.
     pub drilldown: Vec<DrilldownRecord>,
-    /// The full commutative telemetry fold backing every row above.
-    pub telemetry: CohortTelemetry,
+    /// The full commutative cohort fold backing every row above.
+    pub aggregate: PopulationAggregate,
 }
 
 fn attribution_table(rows: &[AttributionSummary]) -> Table {
@@ -227,22 +226,21 @@ impl Experiment for FleetTelemetry {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         let run = run_population(&spec, threads)?;
         let agg = &run.aggregate;
-        let tele = &agg.telemetry;
 
-        let overall = AttributionSummary::from("all", &tele.overall);
+        let overall = AttributionSummary::from("all", &agg.launch);
         let schemes: Vec<AttributionSummary> = SchemeKind::ALL
             .iter()
-            .zip(&tele.schemes)
-            .filter(|(_, a)| a.launches() > 0)
-            .map(|(s, a)| AttributionSummary::from(&s.to_string(), a))
+            .zip(&agg.schemes)
+            .filter(|(_, row)| row.launch.launches() > 0)
+            .map(|(s, row)| AttributionSummary::from(&s.to_string(), &row.launch))
             .collect();
-        let classes: Vec<AttributionSummary> = tele
+        let classes: Vec<AttributionSummary> = agg
             .classes
             .iter()
             .map(|c| AttributionSummary::from(&c.class, &c.attribution))
             .collect();
 
-        let outliers = tele.rank_outliers(drilldown_k(ctx.quick));
+        let outliers = agg.rank_outliers(drilldown_k(ctx.quick));
         let drilled = match &ctx.drilldown {
             Some(dir) => {
                 let records = drill_down(&spec, &outliers, dir)?;
@@ -308,7 +306,7 @@ impl Experiment for FleetTelemetry {
                 slo_pass: report.enforce_failures().is_empty(),
                 outliers,
                 drilldown: drilled,
-                telemetry: tele.clone(),
+                aggregate: agg.clone(),
             },
         );
         let failures = report.enforce_failures();
@@ -322,7 +320,7 @@ impl Experiment for FleetTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::{run_device_day, sample_device, PopulationAggregate, RangeU32};
+    use crate::population::{run_device_day, sample_device, RangeU32};
 
     fn tiny_spec(seed: u64, devices: u32) -> PopulationSpec {
         let mut spec = PopulationSpec::default_mix(seed, devices);
@@ -353,14 +351,13 @@ mod tests {
             agg.absorb(&run_device_day(&sample_device(&spec, i).unwrap()).unwrap());
         }
         agg.evaluate_slos(&demo_slos());
-        let tele = &agg.telemetry;
-        let rows = vec![AttributionSummary::from("all", &tele.overall)];
+        let rows = vec![AttributionSummary::from("all", &agg.launch)];
         let rendered = format!("{}", attribution_table(&rows));
         assert!(rendered.contains("fault_in %"));
         let slo_rendered = format!("{}", slo_table(&agg.slo_verdicts));
         assert!(slo_rendered.contains("hot-p99-under-250ms"));
         assert!(slo_rendered.contains("PASS") || slo_rendered.contains("BREACH"));
-        let outliers = tele.rank_outliers(2);
+        let outliers = agg.rank_outliers(2);
         assert!(!outliers.is_empty());
         let o_rendered = format!("{}", outlier_table(&outliers));
         assert!(o_rendered.contains("z(latency)"));
@@ -373,10 +370,9 @@ mod tests {
         for i in 0..spec.devices {
             agg.absorb(&run_device_day(&sample_device(&spec, i).unwrap()).unwrap());
         }
-        let tele = &agg.telemetry;
-        assert_eq!(tele.overall.launches(), agg.hot_launches);
-        let scheme_total: u64 = tele.schemes.iter().map(|a| a.launches()).sum();
-        let class_total: u64 = tele.classes.iter().map(|c| c.attribution.launches()).sum();
+        assert_eq!(agg.launch.launches(), agg.hot_launches);
+        let scheme_total: u64 = agg.schemes.iter().map(|row| row.launch.launches()).sum();
+        let class_total: u64 = agg.classes.iter().map(|c| c.attribution.launches()).sum();
         assert_eq!(scheme_total, agg.hot_launches, "scheme rows partition the launches");
         assert_eq!(class_total, agg.hot_launches, "class rows partition the launches");
     }

@@ -17,6 +17,7 @@
 use crate::error::FleetError;
 use fleet_metrics::Table;
 use serde::Serialize;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -58,15 +59,34 @@ pub enum RenderBlock {
     Text(String),
 }
 
-/// A serialisable record destined for `--export DIR` as `<id>.json`.
-#[derive(Debug, Clone)]
+/// A record destined for `--export DIR` as `<id>.json`.
+///
+/// The paper's artifact feeds raw measurements into Jupyter notebooks; the
+/// analogue here is one pretty-printed JSON document per experiment that
+/// any notebook or plotting script can consume.
+#[derive(Debug, Clone, Serialize)]
 pub struct ExportArtifact {
     /// Export file stem (e.g. "fig13").
     pub id: String,
-    /// The paper's reported value, stored alongside the data.
-    pub paper: String,
+    /// What the paper reports, stored alongside the data for side-by-side
+    /// reading.
+    pub paper_reference: String,
     /// The measured records, already serialised.
     pub data: serde::Value,
+}
+
+impl ExportArtifact {
+    /// Writes the artifact as pretty JSON to `<dir>/<id>.json`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error if the directory is missing or unwritable.
+    pub fn write_to_dir(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        let path = dir.join(format!("{}.json", self.id));
+        let json = serde_json::to_string_pretty(self).map_err(std::io::Error::other)?;
+        std::fs::write(&path, json + "\n")?;
+        Ok(path)
+    }
 }
 
 /// What an experiment produces: render blocks in display order plus any
@@ -110,7 +130,7 @@ impl ExperimentOutput {
     ) {
         self.exports.push(ExportArtifact {
             id: id.into(),
-            paper: paper.into(),
+            paper_reference: paper.into(),
             data: data.to_value(),
         });
     }
@@ -331,7 +351,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// The compile-time list of `experiment::` submodules (minus the
-    /// harness itself and the export plumbing). Kept literally in sync
+    /// harness itself). Kept literally in sync
     /// with `mod.rs` so a new driver module cannot be forgotten here.
     const DRIVER_MODULES: &[&str] = &[
         "ablation",
@@ -407,6 +427,36 @@ mod tests {
             select(&["fig99".into()]),
             Err(FleetError::UnknownExperiment(s)) if s == "fig99"
         ));
+    }
+
+    #[test]
+    fn round_trips_through_json() {
+        #[derive(Serialize)]
+        struct Row {
+            app: String,
+            value: f64,
+        }
+        let mut out = ExperimentOutput::new();
+        out.export("fig_test", "paper: 1.59x", &vec![Row { app: "Twitter".into(), value: 273.0 }]);
+        let json = serde_json::to_string_pretty(&out.exports[0]).unwrap();
+        assert!(json.contains("\"id\": \"fig_test\""));
+        assert!(json.contains("\"paper_reference\": \"paper: 1.59x\""));
+        assert!(json.contains("Twitter"));
+        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed["data"][0]["value"], 273.0);
+    }
+
+    #[test]
+    fn writes_a_file() {
+        let dir = std::env::temp_dir().join(format!("fleet-export-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut out = ExperimentOutput::new();
+        out.export("fig_demo", "ref", &vec![1, 2, 3]);
+        let path = out.exports[0].write_to_dir(&dir).unwrap();
+        let body = std::fs::read_to_string(&path).unwrap();
+        assert!(body.contains("fig_demo"));
+        assert!(body.ends_with("}\n"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

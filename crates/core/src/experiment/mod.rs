@@ -11,7 +11,6 @@ pub mod access_trace;
 pub mod attribution;
 pub mod caching;
 pub mod chaos;
-pub mod export;
 pub mod fleet_telemetry;
 pub mod frames;
 pub mod gc_working_set;

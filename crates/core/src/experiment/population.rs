@@ -53,7 +53,8 @@ pub struct PopulationExport {
     /// Reactive deployment versus the SWAM-style proactive co-design.
     pub policies: Vec<PolicyCohortSummary>,
     /// The full merged aggregate of the default (Reactive) cohort
-    /// (counters, histograms, slice rows, cohort hash).
+    /// (counters, launch attribution, run-slices, cohort hash, outlier
+    /// pools).
     pub aggregate: PopulationAggregate,
 }
 
@@ -128,20 +129,19 @@ fn dashboard(agg: &PopulationAggregate) -> Table {
         format!("{:.2}", agg.lmk_kills_per_device_day()),
         agg.zram_writeback_pages.to_string(),
     ]);
-    for (i, &scheme) in SchemeKind::ALL.iter().enumerate() {
-        let devices = agg.scheme_devices[i];
-        if devices == 0 {
+    for (scheme, row) in SchemeKind::ALL.iter().zip(&agg.schemes) {
+        if row.devices == 0 {
             continue;
         }
-        let hist = &agg.scheme_hot_launch_us[i];
+        let hist = &row.launch.total_us;
         t.row([
             scheme.to_string(),
-            devices.to_string(),
+            row.devices.to_string(),
             hist.count().to_string(),
             format!("{:.0}", hist.quantile(0.5) as f64 / 1e3),
             format!("{:.0}", hist.quantile(0.99) as f64 / 1e3),
             format!("{:.0}", hist.quantile(0.999) as f64 / 1e3),
-            format!("{:.2}", agg.scheme_lmk_kills[i] as f64 / devices as f64),
+            format!("{:.2}", row.lmk_kills as f64 / row.devices as f64),
             "-".to_string(),
         ]);
     }
@@ -162,7 +162,7 @@ fn publish_obs(agg: &PopulationAggregate) {
     p.gauge_set("population.cohort_hash", agg.cohort_hash);
     // Bulk-absorb the cohort histogram: one record_n per log2 bucket at the
     // bucket's lower bound (the obs histogram re-buckets identically).
-    for (b, &n) in agg.hot_launch_us.buckets().iter().enumerate() {
+    for (b, &n) in agg.launch.total_us.buckets().iter().enumerate() {
         if n > 0 {
             let lo_us = if b == 0 { 0u64 } else { 1u64 << b };
             p.latency_n("population.hot_launch_ns", lo_us.saturating_mul(1_000), n);

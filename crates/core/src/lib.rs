@@ -53,8 +53,8 @@ pub use population::{
 };
 pub use process::{AppState, FleetProcState, GcRecord, LaunchKind, LaunchReport, Process};
 pub use telemetry::{
-    drill_down, CohortTelemetry, DrilldownRecord, LaunchAttribution, LaunchSpanSample, Outlier,
-    SloBreach, SloMetric, SloReport, SloSpec, SloVerdict,
+    drill_down, DrilldownRecord, LaunchAttribution, LaunchSpanSample, Outlier, SloBreach,
+    SloMetric, SloReport, SloSpec, SloVerdict,
 };
 
 /// The stable, supported surface of the reproduction in one import.
@@ -80,8 +80,8 @@ pub mod prelude {
     };
     pub use crate::process::{LaunchKind, LaunchReport};
     pub use crate::telemetry::{
-        drill_down, CohortTelemetry, DrilldownRecord, LaunchSpanSample, Outlier, SloMetric,
-        SloReport, SloSpec, SloVerdict,
+        drill_down, DrilldownRecord, LaunchSpanSample, Outlier, SloMetric, SloReport, SloSpec,
+        SloVerdict,
     };
     pub use fleet_kernel::{KillPolicy, ReclaimPolicy, SwamParams};
     pub use fleet_metrics::{Histogram, Summary, Table};

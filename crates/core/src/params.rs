@@ -3,7 +3,9 @@
 use fleet_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-/// Fleet's tunables; defaults are Table 2 of the paper.
+/// Fleet's tunables; defaults are Table 2 of the paper. Table 2's Tf (wait
+/// 3 s after foregrounding before Fleet stops) is not a field: the device
+/// stops Fleet at the foreground switch.
 ///
 /// # Examples
 ///
@@ -20,8 +22,6 @@ pub struct FleetParams {
     pub depth: u32,
     /// Wait time after backgrounding before Fleet starts (Table 2: 10 s).
     pub ts: SimDuration,
-    /// Wait time after foregrounding before Fleet stops (Table 2: 3 s).
-    pub tf: SimDuration,
     /// `CARD_SHIFT` for card-address conversion (Table 2: 10).
     pub card_shift: u32,
     /// Region size of the Java heap (Table 2: 256 KiB).
@@ -36,7 +36,6 @@ impl Default for FleetParams {
         FleetParams {
             depth: 2,
             ts: SimDuration::from_secs(10),
-            tf: SimDuration::from_secs(3),
             card_shift: 10,
             region_size: 256 * 1024,
             hot_refresh: SimDuration::from_secs(5),
@@ -121,7 +120,6 @@ mod tests {
         let p = FleetParams::default();
         assert_eq!(p.depth, 2);
         assert_eq!(p.ts, SimDuration::from_secs(10));
-        assert_eq!(p.tf, SimDuration::from_secs(3));
         assert_eq!(p.card_shift, 10);
         assert_eq!(p.region_size, 256 * 1024);
     }

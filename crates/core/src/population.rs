@@ -22,11 +22,12 @@
 //!   worker-owned shards (each worker builds, runs and drops its own
 //!   [`crate::Device`]s — state is fully `Send`, nothing is shared) and
 //!   merges [`PopulationAggregate`]s. Every aggregate field is an integer
-//!   counter, a log2-bucketed [`LogHistogram`], an XOR fingerprint or a
-//!   per-slice row keyed by device index, so absorption and merging are
-//!   commutative: the result is byte-identical whatever the thread count
-//!   or completion order. Exports are batched run-slices
-//!   ([`SliceRow`], [`SLICE_LEN`] devices each), not per-device JSON.
+//!   counter, a log2-bucketed [`LogHistogram`], an XOR fingerprint, a
+//!   power sum, a bounded top-K pool or a per-slice row keyed by device
+//!   index, so absorption and merging are commutative: the result is
+//!   byte-identical whatever the thread count or completion order.
+//!   Exports are batched run-slices ([`RunSlice`], [`SLICE_LEN`] devices
+//!   each), not per-device JSON.
 
 use crate::config::{DeviceConfig, ZramFront};
 use crate::device::Device;
@@ -34,11 +35,16 @@ use crate::error::FleetError;
 use crate::experiment::scenario::AppPool;
 use crate::params::SchemeKind;
 use crate::process::{LaunchKind, LaunchReport};
-use crate::telemetry::{CohortTelemetry, LaunchSpanSample, SloSpec, SloVerdict};
+use crate::telemetry::{
+    ClassAttribution, LaunchAttribution, LaunchSpanSample, Outlier, OutlierCandidate, OutlierPool,
+    SloMetric, SloReport, SloSpec, SloVerdict, SloWindowPoint, OUTLIER_POOL,
+};
 use fleet_kernel::{FaultConfig, IntegrityConfig, KillPolicy, ReclaimPolicy};
+use fleet_metrics::Moments;
 use fleet_obs::LogHistogram;
 use fleet_sim::SimRng;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
@@ -570,11 +576,9 @@ pub struct DeviceDayRow {
     /// Scripted launches that died mid-launch (SIGBUS under injected
     /// corruption; always zero on quiet cohorts).
     pub failed_launches: u64,
-    /// Hot-launch times, microseconds, in script order.
-    pub hot_launch_us: Vec<u64>,
-    /// Per-hot-launch latency decomposition (same script order as
-    /// [`Self::hot_launch_us`]): the §10 span taxonomy flattened to
-    /// integers for the cohort attribution fold.
+    /// Per-hot-launch latency decomposition in script order: the §10
+    /// span taxonomy flattened to integers for the cohort fold (each
+    /// `total_us` is that launch's time to first frame).
     pub hot_spans: Vec<LaunchSpanSample>,
     /// LMK kills over the day.
     pub lmk_kills: u64,
@@ -629,7 +633,6 @@ pub fn run_device_day(plan: &DevicePlan) -> Result<DeviceDayRow, FleetError> {
     fp.mix(plan.index as u64);
     fp.mix(plan.seed);
 
-    let mut hot_launch_us = Vec::new();
     let mut hot_spans = Vec::new();
     let (mut hot, mut cold, mut failed) = (0u64, 0u64, 0u64);
     for cycle in 0..plan.cycles {
@@ -640,7 +643,6 @@ pub fn run_device_day(plan: &DevicePlan) -> Result<DeviceDayRow, FleetError> {
                 match report.kind {
                     LaunchKind::Hot => {
                         hot += 1;
-                        hot_launch_us.push(report.total.as_micros());
                         hot_spans.push(LaunchSpanSample::from_report(&report));
                     }
                     LaunchKind::Cold => cold += 1,
@@ -675,7 +677,6 @@ pub fn run_device_day(plan: &DevicePlan) -> Result<DeviceDayRow, FleetError> {
         hot_launches: hot,
         cold_relaunches: cold,
         failed_launches: failed,
-        hot_launch_us,
         hot_spans,
         lmk_kills: dev.reclaim().total_kills(),
         sigbus_kills: dev.sigbus_kills(),
@@ -704,36 +705,47 @@ pub fn run_device_day(plan: &DevicePlan) -> Result<DeviceDayRow, FleetError> {
 
 // --------------------------------------------------------------- aggregation
 
-/// Devices per export slice: the cohort exports one [`SliceRow`] per
+/// Devices per run-slice: the cohort exports one [`RunSlice`] per
 /// [`SLICE_LEN`] device indices instead of one JSON record per device.
 pub const SLICE_LEN: u32 = 256;
 
-/// One batched run-slice: the aggregate of device indices
-/// `[slice · SLICE_LEN, (slice+1) · SLICE_LEN)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SliceRow {
+/// One batched run-slice: the fold of device indices
+/// `[slice · len, (slice+1) · len)`, and the unit SLO burn-rate windows
+/// evaluate over. Indexed by ordinal, so absorbing is an index write,
+/// never an append — commutative by construction.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct RunSlice {
     /// Slice ordinal.
     pub slice: u32,
     /// Device-days absorbed into this slice.
     pub devices: u64,
     /// Scripted launches across the slice.
     pub launches: u64,
-    /// Hot launches across the slice.
-    pub hot_launches: u64,
-    /// Sum of hot-launch times, microseconds.
-    pub hot_launch_us_sum: u64,
-    /// Largest hot-launch time in the slice, microseconds.
-    pub hot_launch_us_max: u64,
     /// LMK kills across the slice.
     pub lmk_kills: u64,
     /// Zram writeback pages across the slice.
     pub zram_writeback_pages: u64,
+    /// Hot-launch times across the slice, µs; its exact count, sum and max
+    /// are the slice's hot launches, their total and the worst of them.
+    pub hot_launch_us: LogHistogram,
 }
 
-/// The mergeable cohort aggregate: integer counters, log2 histograms, an
-/// XOR cohort fingerprint and batched slice rows. [`Self::absorb`] and
-/// [`Self::merge`] are commutative, so any sharding of the cohort over any
-/// number of workers folds to identical bytes.
+/// One scheme's share of the cohort.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct SchemeRow {
+    /// Device-days that sampled the scheme.
+    pub devices: u64,
+    /// LMK kills on those devices.
+    pub lmk_kills: u64,
+    /// Hot-launch decomposition of those devices.
+    pub launch: LaunchAttribution,
+}
+
+/// The mergeable cohort aggregate: integer counters, launch attribution
+/// (overall, per scheme, per device class), an XOR cohort fingerprint,
+/// run-slices, moment sums and outlier pools (DESIGN.md §12, §15).
+/// [`Self::absorb`] and [`Self::merge`] are commutative, so any sharding of
+/// the cohort over any number of workers folds to identical bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PopulationAggregate {
     /// Device-days absorbed.
@@ -773,28 +785,46 @@ pub struct PopulationAggregate {
     pub tiers_retired: u64,
     /// Total simulated seconds.
     pub sim_secs: u64,
-    /// Population hot-launch distribution, microseconds.
-    pub hot_launch_us: LogHistogram,
-    /// Per-scheme hot-launch distributions, indexed like
-    /// [`SchemeKind::ALL`].
-    pub scheme_hot_launch_us: Vec<LogHistogram>,
-    /// Per-scheme device counts, indexed like [`SchemeKind::ALL`].
-    pub scheme_devices: Vec<u64>,
-    /// Per-scheme LMK kills, indexed like [`SchemeKind::ALL`].
-    pub scheme_lmk_kills: Vec<u64>,
     /// XOR of per-device event fingerprints (order-free cohort hash).
     pub cohort_hash: u64,
-    /// Devices per slice row.
+    /// Cohort-wide hot-launch decomposition; its `total_us` is the
+    /// population hot-launch distribution.
+    pub launch: LaunchAttribution,
+    /// Per-scheme rows, indexed like [`SchemeKind::ALL`].
+    pub schemes: Vec<SchemeRow>,
+    /// Per-device-class decomposition, kept sorted by class name so
+    /// insertion order (and thus thread interleaving) never shows.
+    pub classes: Vec<ClassAttribution>,
+    /// Devices per run-slice.
     pub slice_len: u32,
-    /// Batched run-slice rows, one per [`Self::slice_len`] device indices.
-    pub slices: Vec<SliceRow>,
-    /// Launch attribution, per-slice SLO inputs, moment sums and outlier
-    /// pools (DESIGN.md §15). Folds commutatively like every other field.
-    pub telemetry: CohortTelemetry,
+    /// Run-slices, one per [`Self::slice_len`] device indices.
+    pub slices: Vec<RunSlice>,
+    /// Power sums over per-device peak hot-launch, µs.
+    pub peak_hot_us: Moments,
+    /// Power sums over per-device LMK kills.
+    pub device_kills: Moments,
+    /// Top-K device-days by peak hot-launch.
+    pub latency_outliers: OutlierPool,
+    /// Top-K device-days by LMK kills.
+    pub kill_outliers: OutlierPool,
     /// Verdicts for the spec's SLO monitors, filled post-merge by
     /// [`Self::evaluate_slos`] (empty on shards and on specs without
     /// monitors).
     pub slo_verdicts: Vec<SloVerdict>,
+}
+
+/// The attribution of device class `name`, inserted in name order on
+/// first sight.
+fn class_mut<'a>(classes: &'a mut Vec<ClassAttribution>, name: &str) -> &'a mut LaunchAttribution {
+    let at = match classes.binary_search_by(|c| c.class.as_str().cmp(name)) {
+        Ok(at) => at,
+        Err(at) => {
+            let attribution = LaunchAttribution::new();
+            classes.insert(at, ClassAttribution { class: name.to_string(), attribution });
+            at
+        }
+    };
+    &mut classes[at].attribution
 }
 
 impl PopulationAggregate {
@@ -821,25 +851,16 @@ impl PopulationAggregate {
             slots_quarantined: 0,
             tiers_retired: 0,
             sim_secs: 0,
-            hot_launch_us: LogHistogram::new(),
-            scheme_hot_launch_us: vec![LogHistogram::new(); SchemeKind::ALL.len()],
-            scheme_devices: vec![0; SchemeKind::ALL.len()],
-            scheme_lmk_kills: vec![0; SchemeKind::ALL.len()],
             cohort_hash: 0,
+            launch: LaunchAttribution::new(),
+            schemes: vec![SchemeRow::default(); SchemeKind::ALL.len()],
+            classes: Vec::new(),
             slice_len,
-            slices: (0..slices)
-                .map(|slice| SliceRow {
-                    slice,
-                    devices: 0,
-                    launches: 0,
-                    hot_launches: 0,
-                    hot_launch_us_sum: 0,
-                    hot_launch_us_max: 0,
-                    lmk_kills: 0,
-                    zram_writeback_pages: 0,
-                })
-                .collect(),
-            telemetry: CohortTelemetry::new(cohort_devices, slice_len),
+            slices: (0..slices).map(|slice| RunSlice { slice, ..RunSlice::default() }).collect(),
+            peak_hot_us: Moments::new(),
+            device_kills: Moments::new(),
+            latency_outliers: OutlierPool::new(OUTLIER_POOL as u32),
+            kill_outliers: OutlierPool::new(OUTLIER_POOL as u32),
             slo_verdicts: Vec::new(),
         }
     }
@@ -864,24 +885,32 @@ impl PopulationAggregate {
         self.slots_quarantined += row.slots_quarantined;
         self.tiers_retired += row.tiers_retired;
         self.sim_secs += row.sim_secs;
-        let si = row.scheme.index();
-        self.scheme_devices[si] += 1;
-        self.scheme_lmk_kills[si] += row.lmk_kills;
-        for &us in &row.hot_launch_us {
-            self.hot_launch_us.record(us);
-            self.scheme_hot_launch_us[si].record(us);
-        }
         self.cohort_hash ^= row.fingerprint;
+        let scheme = &mut self.schemes[row.scheme.index()];
+        scheme.devices += 1;
+        scheme.lmk_kills += row.lmk_kills;
         let slice = &mut self.slices[(row.index / self.slice_len) as usize];
         slice.devices += 1;
         slice.launches += row.launches;
-        slice.hot_launches += row.hot_launches;
-        slice.hot_launch_us_sum += row.hot_launch_us.iter().sum::<u64>();
-        slice.hot_launch_us_max =
-            slice.hot_launch_us_max.max(row.hot_launch_us.iter().copied().max().unwrap_or(0));
         slice.lmk_kills += row.lmk_kills;
         slice.zram_writeback_pages += row.zram_writeback_pages;
-        self.telemetry.absorb(row);
+        for span in &row.hot_spans {
+            self.launch.absorb(span);
+            scheme.launch.absorb(span);
+            class_mut(&mut self.classes, &row.class).absorb(span);
+            slice.hot_launch_us.record(span.total_us);
+        }
+        let peak = row.hot_spans.iter().map(|s| s.total_us).max().unwrap_or(0);
+        self.peak_hot_us.record(peak);
+        self.device_kills.record(row.lmk_kills);
+        let candidate = OutlierCandidate {
+            index: row.index,
+            peak_hot_us: peak,
+            kills: row.lmk_kills,
+            fingerprint: row.fingerprint,
+        };
+        self.latency_outliers.offer(peak, candidate);
+        self.kill_outliers.offer(row.lmk_kills, candidate);
     }
 
     /// Folds another shard into this one. Commutative with [`Self::absorb`]:
@@ -912,45 +941,108 @@ impl PopulationAggregate {
         self.slots_quarantined += other.slots_quarantined;
         self.tiers_retired += other.tiers_retired;
         self.sim_secs += other.sim_secs;
-        self.hot_launch_us.merge(&other.hot_launch_us);
-        for (a, b) in self.scheme_hot_launch_us.iter_mut().zip(&other.scheme_hot_launch_us) {
-            a.merge(b);
-        }
-        for (a, b) in self.scheme_devices.iter_mut().zip(&other.scheme_devices) {
-            *a += b;
-        }
-        for (a, b) in self.scheme_lmk_kills.iter_mut().zip(&other.scheme_lmk_kills) {
-            *a += b;
-        }
         self.cohort_hash ^= other.cohort_hash;
+        self.launch.merge(&other.launch);
+        for (a, b) in self.schemes.iter_mut().zip(&other.schemes) {
+            a.devices += b.devices;
+            a.lmk_kills += b.lmk_kills;
+            a.launch.merge(&b.launch);
+        }
+        for class in &other.classes {
+            class_mut(&mut self.classes, &class.class).merge(&class.attribution);
+        }
         for (a, b) in self.slices.iter_mut().zip(&other.slices) {
             a.devices += b.devices;
             a.launches += b.launches;
-            a.hot_launches += b.hot_launches;
-            a.hot_launch_us_sum += b.hot_launch_us_sum;
-            a.hot_launch_us_max = a.hot_launch_us_max.max(b.hot_launch_us_max);
             a.lmk_kills += b.lmk_kills;
             a.zram_writeback_pages += b.zram_writeback_pages;
+            a.hot_launch_us.merge(&b.hot_launch_us);
         }
-        self.telemetry.merge(&other.telemetry);
+        self.peak_hot_us.merge(&other.peak_hot_us);
+        self.device_kills.merge(&other.device_kills);
+        self.latency_outliers.merge(&other.latency_outliers);
+        self.kill_outliers.merge(&other.kill_outliers);
     }
 
-    /// Evaluates `slos` against the merged per-slice telemetry and stores
-    /// the verdicts. Called by [`run_population`] after the shards merge;
-    /// a pure function of the order-free aggregate, so parallel and
+    /// Evaluates `slos` against the merged run-slices and stores the
+    /// verdicts. Called by [`run_population`] after the shards merge; a
+    /// pure function of the order-free aggregate, so parallel and
     /// sequential runs verdict identically.
     pub fn evaluate_slos(&mut self, slos: &[SloSpec]) {
-        self.slo_verdicts = self.telemetry.evaluate(slos);
+        self.slo_verdicts =
+            slos.iter().map(|s| SloVerdict::evaluate(s, self.slo_points(s))).collect();
+    }
+
+    /// The burn-rate window observations for `spec`: windows chunk the
+    /// run-slices in ordinal order; windows with no data are skipped.
+    pub fn slo_points(&self, spec: &SloSpec) -> Vec<SloWindowPoint> {
+        let window = spec.window_slices.max(1) as usize;
+        self.slices
+            .chunks(window)
+            .filter_map(|chunk| {
+                let window_start = chunk[0].slice;
+                let window_end = chunk.last().expect("chunks are non-empty").slice + 1;
+                let value_milli = match spec.metric {
+                    SloMetric::HotLaunch => {
+                        let mut hist = LogHistogram::new();
+                        for s in chunk {
+                            hist.merge(&s.hot_launch_us);
+                        }
+                        if hist.count() == 0 {
+                            return None;
+                        }
+                        // µs *is* the milli-unit of the ms threshold.
+                        hist.quantile(spec.percentile_bp as f64 / 10_000.0)
+                    }
+                    SloMetric::LmkKills => {
+                        let devices: u64 = chunk.iter().map(|s| s.devices).sum();
+                        if devices == 0 {
+                            return None;
+                        }
+                        let kills: u64 = chunk.iter().map(|s| s.lmk_kills).sum();
+                        kills.saturating_mul(1000) / devices
+                    }
+                };
+                Some(SloWindowPoint { window_start, window_end, value_milli })
+            })
+            .collect()
+    }
+
+    /// Ranks the pooled candidates by z-score against the merged moments
+    /// and returns the top `k` (score desc, index asc), deduplicated
+    /// across the two pools. Deterministic: every input is a pure function
+    /// of the order-free aggregate.
+    pub fn rank_outliers(&self, k: usize) -> Vec<Outlier> {
+        let mut by_index: BTreeMap<u32, Outlier> = BTreeMap::new();
+        for (_, c) in self.latency_outliers.entries.iter().chain(&self.kill_outliers.entries) {
+            by_index.entry(c.index).or_insert_with(|| {
+                let z_latency = self.peak_hot_us.z_score(c.peak_hot_us);
+                let z_kills = self.device_kills.z_score(c.kills);
+                Outlier {
+                    index: c.index,
+                    score: z_latency.max(z_kills),
+                    z_latency,
+                    z_kills,
+                    peak_hot_us: c.peak_hot_us,
+                    kills: c.kills,
+                    fingerprint: c.fingerprint,
+                }
+            });
+        }
+        let mut ranked: Vec<Outlier> = by_index.into_values().collect();
+        ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.index.cmp(&b.index)));
+        ranked.truncate(k);
+        ranked
     }
 
     /// The SLO verdicts as a report (breach totals, enforce failures).
-    pub fn slo_report(&self) -> crate::telemetry::SloReport {
-        crate::telemetry::SloReport { verdicts: self.slo_verdicts.clone() }
+    pub fn slo_report(&self) -> SloReport {
+        SloReport { verdicts: self.slo_verdicts.clone() }
     }
 
     /// Hot-launch quantile in milliseconds (0 when no hot launch landed).
     pub fn hot_launch_quantile_ms(&self, q: f64) -> f64 {
-        self.hot_launch_us.quantile(q) as f64 / 1e3
+        self.launch.total_us.quantile(q) as f64 / 1e3
     }
 
     /// LMK kills per device-day.
@@ -991,11 +1083,12 @@ impl PopulationRun {
 
 /// Streams the cohort through `threads` worker-owned shards and merges.
 ///
-/// With `threads == 1` every device-day runs inline on the calling thread
-/// (so thread-local audit/obs pipelines observe the whole cohort); with
-/// more, scoped workers pull device indices from a shared counter, own
-/// every device they build, and fold rows into a private shard. The merged
-/// aggregate is byte-identical for every thread count by construction.
+/// One worker loop pulls device indices from a shared counter, owns every
+/// device it builds, and folds rows into a private shard. With
+/// `threads == 1` it runs inline on the calling thread (so thread-local
+/// audit/obs pipelines observe the whole cohort); with more, each scoped
+/// thread runs it. The merged aggregate is byte-identical for every thread
+/// count by construction.
 ///
 /// When the calling thread has an audit or obs pipeline installed, the run
 /// drops to one inline worker regardless of `threads`: worker threads have
@@ -1016,41 +1109,32 @@ pub fn run_population(spec: &PopulationSpec, threads: usize) -> Result<Populatio
     if crate::probe::installed() {
         threads = 1;
     }
-    let mut aggregate = if threads == 1 {
-        let mut agg = PopulationAggregate::new(spec.devices, SLICE_LEN);
-        for index in 0..spec.devices {
-            agg.absorb(&run_device_day(&sample_device(spec, index)?)?);
+    let next = AtomicU32::new(0);
+    let worker = || {
+        let mut shard = PopulationAggregate::new(spec.devices, SLICE_LEN);
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= spec.devices {
+                return Ok::<_, FleetError>(shard);
+            }
+            shard.absorb(&run_device_day(&sample_device(spec, index)?)?);
         }
-        agg
+    };
+    let mut shards = if threads == 1 {
+        vec![worker()?]
     } else {
-        let next = AtomicU32::new(0);
-        let shards = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut shard = PopulationAggregate::new(spec.devices, SLICE_LEN);
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= spec.devices {
-                                break;
-                            }
-                            shard.absorb(&run_device_day(&sample_device(spec, index)?)?);
-                        }
-                        Ok::<_, FleetError>(shard)
-                    })
-                })
-                .collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("population worker panicked"))
                 .collect::<Result<Vec<_>, _>>()
-        })?;
-        let mut agg = PopulationAggregate::new(spec.devices, SLICE_LEN);
-        for shard in &shards {
-            agg.merge(shard);
-        }
-        agg
+        })?
     };
+    let mut aggregate = shards.pop().expect("at least one worker");
+    for shard in &shards {
+        aggregate.merge(shard);
+    }
     aggregate.evaluate_slos(&spec.slos);
     Ok(PopulationRun { aggregate, wall: start.elapsed(), threads })
 }
@@ -1225,7 +1309,7 @@ mod tests {
         assert!(seq.aggregate.slo_report().breaches() >= 1);
         assert!(seq.aggregate.slo_report().enforce_failures().is_empty());
         assert_eq!(
-            seq.aggregate.telemetry.overall.launches(),
+            seq.aggregate.launch.launches(),
             seq.aggregate.hot_launches,
             "attribution folds exactly the hot launches"
         );

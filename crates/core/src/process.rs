@@ -44,15 +44,27 @@ pub struct LaunchReport {
     pub at: SimTime,
     /// Total time to first frame.
     pub total: SimDuration,
-    /// Portion spent stalled on page faults.
+    /// Portion spent stalled on page faults: the launch's own faults, the
+    /// faults of a launch-time GC, and prefetch I/O that outran render.
     pub fault_stall: SimDuration,
     /// Portion of the fault stall spent decompressing zram slots (a subset
     /// of `fault_stall`; zero on flash-only devices).
     pub decompress: SimDuration,
     /// Pages faulted in from swap on the critical path.
     pub faulted_pages: u64,
-    /// Stop-the-world pause of a launch-time GC, if one triggered.
+    /// Stop-the-world time on the launch path: the pause of a launch-time
+    /// GC, if one triggered, plus Marvin's stub-table reconciliation.
     pub gc_stw: SimDuration,
+}
+
+impl LaunchReport {
+    /// The `(cpu, fault_in, gc_pause)` spans that tile [`Self::total`] end
+    /// to end (DESIGN.md §10): `fault_in` is [`Self::fault_stall`],
+    /// `gc_pause` is [`Self::gc_stw`], and `cpu` is the rest.
+    pub fn spans(&self) -> (SimDuration, SimDuration, SimDuration) {
+        let cpu = self.total.saturating_sub(self.fault_stall).saturating_sub(self.gc_stw);
+        (cpu, self.fault_stall, self.gc_stw)
+    }
 }
 
 /// A timestamped GC record.
@@ -125,7 +137,4 @@ pub struct Process {
     pub fleet: FleetProcState,
     /// Next background maintenance GC.
     pub next_bg_gc: Option<SimTime>,
-    /// `(base, len)` byte ranges the last hot-launch touched — the history
-    /// driving ASAP-style prepaging when `prefetch_on_launch` is set.
-    pub last_launch_faults: Vec<(u64, u64)>,
 }

@@ -1,5 +1,5 @@
-//! Fleet-scale telemetry: cohort span attribution, SLO evaluation and
-//! deterministic outlier drill-down (DESIGN.md §15).
+//! Fleet-scale telemetry: the attribution and outlier pieces of the cohort
+//! fold, SLO specs, and deterministic outlier drill-down (DESIGN.md §15).
 //!
 //! The observability layer (§10) answers "where does hot-launch time go"
 //! for *one* device; the population engine (§12) reduces a cohort to
@@ -7,29 +7,33 @@
 //! This module closes the gap in three pieces, all riding the population
 //! fold's commutativity contract:
 //!
-//! * **[`CohortTelemetry`]** — per-launch latency decomposition
-//!   (cpu / fault_in / decompress / gc_pause, the §10 span taxonomy)
-//!   folded into integer [`LogHistogram`]s overall, per scheme and per
-//!   device class, plus per-slice histograms, [`Moments`] power sums and
-//!   bounded top-K outlier pools. Every field absorbs and merges
-//!   commutatively, so the aggregate stays byte-identical whatever the
-//!   worker-thread count.
+//! * **Attribution and outlier pools** — [`LaunchSpanSample`] flattens one
+//!   hot launch into the §10 span taxonomy (cpu / fault_in / decompress /
+//!   gc_pause), [`LaunchAttribution`] folds samples into integer
+//!   [`LogHistogram`]s, and [`OutlierPool`] keeps a bounded top-K of
+//!   device-days. [`PopulationAggregate`] holds them overall, per scheme
+//!   and per device class, next to [`fleet_metrics::Moments`] power sums.
+//!   Every piece absorbs and merges commutatively, so the aggregate stays
+//!   byte-identical whatever the worker-thread count.
 //! * **SLO evaluation** — [`SloSpec`]s (re-exported from
 //!   `fleet_obs::slo`) are evaluated post-merge over burn-rate windows of
-//!   run-slices; the verdicts are a pure function of the already
-//!   order-free aggregate.
+//!   the aggregate's run-slices ([`PopulationAggregate::slo_points`]); the
+//!   verdicts are a pure function of the already order-free aggregate.
 //! * **[`drill_down`]** — ranks device-days by z-score
-//!   ([`CohortTelemetry::rank_outliers`]) and re-simulates the top K
+//!   ([`PopulationAggregate::rank_outliers`]) and re-simulates the top K
 //!   standalone under fresh `obs`(+`audit`) pipelines, exploiting the
 //!   splitmix-split seed property: the replayed day is bit-identical to
 //!   the in-cohort one, and the written Perfetto trace shows exactly the
 //!   device-day behind the aggregate breach.
+//!
+//! [`PopulationAggregate`]: crate::population::PopulationAggregate
+//! [`PopulationAggregate::slo_points`]: crate::population::PopulationAggregate::slo_points
+//! [`PopulationAggregate::rank_outliers`]: crate::population::PopulationAggregate::rank_outliers
 
 use crate::error::FleetError;
 use crate::params::SchemeKind;
-use crate::population::{sample_device, DeviceDayRow, PopulationSpec};
+use crate::population::{sample_device, PopulationSpec};
 use crate::process::LaunchReport;
-use fleet_metrics::Moments;
 use fleet_obs::LogHistogram;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -58,18 +62,21 @@ pub struct LaunchSpanSample {
     /// Zram decompression share, µs (depth-2 under `fault_in`; a subset
     /// of [`Self::fault_in_us`], zero on flash-only devices).
     pub decompress_us: u64,
-    /// Launch-time GC stop-the-world share, µs (the `gc_pause` child).
+    /// Stop-the-world share, µs (the `gc_pause` child: the launch GC's
+    /// pause plus Marvin's stub reconciliation).
     pub gc_pause_us: u64,
 }
 
 impl LaunchSpanSample {
-    /// Flattens a launch report into the span decomposition. The same
-    /// arithmetic the obs tracer uses: the children tile the root, so
-    /// `cpu = total − fault_stall − gc_stw` exactly.
+    /// Flattens a launch report into the span decomposition the obs tracer
+    /// also emits ([`LaunchReport::spans`]). `cpu` is the remainder in
+    /// whole microseconds, so the integer children tile the integer root
+    /// exactly.
     pub fn from_report(r: &LaunchReport) -> Self {
+        let (_, fault_in, gc_pause) = r.spans();
         let total_us = r.total.as_micros();
-        let fault_in_us = r.fault_stall.as_micros();
-        let gc_pause_us = r.gc_stw.as_micros();
+        let fault_in_us = fault_in.as_micros();
+        let gc_pause_us = gc_pause.as_micros();
         LaunchSpanSample {
             total_us,
             cpu_us: total_us.saturating_sub(fault_in_us).saturating_sub(gc_pause_us),
@@ -147,21 +154,6 @@ pub struct ClassAttribution {
     pub attribution: LaunchAttribution,
 }
 
-/// Per-run-slice telemetry: the data SLO burn-rate windows evaluate over.
-/// Indexed by slice ordinal like the aggregate's `SliceRow`s, so absorbing
-/// is an index write, never an append — commutative by construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SliceTelemetry {
-    /// Slice ordinal (device indices `[slice·len, (slice+1)·len)`).
-    pub slice: u32,
-    /// Device-days absorbed into this slice.
-    pub devices: u64,
-    /// Hot-launch latency distribution of the slice, µs.
-    pub hot_launch_us: LogHistogram,
-    /// LMK kills across the slice.
-    pub lmk_kills: u64,
-}
-
 // ----------------------------------------------------------- outlier pools
 
 /// One device-day's outlier fingerprint: both ranking metrics plus the row
@@ -218,9 +210,10 @@ impl OutlierPool {
     }
 }
 
-/// A ranked outlier: the drill-down work item [`CohortTelemetry::rank_outliers`]
-/// returns. Scores are derived post-merge from the folded [`Moments`], so
-/// they are as thread-count-independent as the integer state they read.
+/// A ranked outlier: the drill-down work item
+/// [`crate::population::PopulationAggregate::rank_outliers`] returns.
+/// Scores are derived post-merge from the folded [`fleet_metrics::Moments`],
+/// so they are as thread-count-independent as the integer state they read.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Outlier {
     /// Device index within the cohort.
@@ -237,200 +230,6 @@ pub struct Outlier {
     pub kills: u64,
     /// The in-cohort row fingerprint the replay must reproduce.
     pub fingerprint: u64,
-}
-
-// ------------------------------------------------------- cohort telemetry
-
-/// The telemetry sub-aggregate folded into every
-/// [`crate::population::PopulationAggregate`]: launch attribution
-/// (overall / per scheme / per class), per-slice SLO inputs, moment sums
-/// and the outlier pools. Every field is a commutative integer fold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CohortTelemetry {
-    /// Devices per slice (mirrors the owning aggregate).
-    pub slice_len: u32,
-    /// Cohort-wide launch decomposition.
-    pub overall: LaunchAttribution,
-    /// Per-scheme decomposition, indexed like [`SchemeKind::ALL`].
-    pub schemes: Vec<LaunchAttribution>,
-    /// Per-device-class decomposition, kept sorted by class name.
-    pub classes: Vec<ClassAttribution>,
-    /// Per-slice SLO inputs, one per slice ordinal.
-    pub slices: Vec<SliceTelemetry>,
-    /// Power sums over per-device peak hot-launch, µs.
-    pub peak_hot_us: Moments,
-    /// Power sums over per-device LMK kills.
-    pub device_kills: Moments,
-    /// Top-K device-days by peak hot-launch.
-    pub latency_outliers: OutlierPool,
-    /// Top-K device-days by LMK kills.
-    pub kill_outliers: OutlierPool,
-}
-
-impl CohortTelemetry {
-    /// An empty telemetry aggregate sized for `cohort_devices` devices in
-    /// slices of `slice_len`.
-    pub fn new(cohort_devices: u32, slice_len: u32) -> Self {
-        assert!(slice_len > 0, "slice length must be positive");
-        let slices = cohort_devices.div_ceil(slice_len);
-        CohortTelemetry {
-            slice_len,
-            overall: LaunchAttribution::new(),
-            schemes: vec![LaunchAttribution::new(); SchemeKind::ALL.len()],
-            classes: Vec::new(),
-            slices: (0..slices)
-                .map(|slice| SliceTelemetry {
-                    slice,
-                    devices: 0,
-                    hot_launch_us: LogHistogram::new(),
-                    lmk_kills: 0,
-                })
-                .collect(),
-            peak_hot_us: Moments::new(),
-            device_kills: Moments::new(),
-            latency_outliers: OutlierPool::new(OUTLIER_POOL as u32),
-            kill_outliers: OutlierPool::new(OUTLIER_POOL as u32),
-        }
-    }
-
-    fn class_mut(&mut self, name: &str) -> &mut LaunchAttribution {
-        let at = match self.classes.binary_search_by(|c| c.class.as_str().cmp(name)) {
-            Ok(at) => at,
-            Err(at) => {
-                self.classes.insert(
-                    at,
-                    ClassAttribution {
-                        class: name.to_string(),
-                        attribution: LaunchAttribution::new(),
-                    },
-                );
-                at
-            }
-        };
-        &mut self.classes[at].attribution
-    }
-
-    /// Folds one device-day in.
-    pub fn absorb(&mut self, row: &DeviceDayRow) {
-        let si = row.scheme.index();
-        for span in &row.hot_spans {
-            self.overall.absorb(span);
-            self.schemes[si].absorb(span);
-            self.class_mut(&row.class).absorb(span);
-        }
-        let slice = &mut self.slices[(row.index / self.slice_len) as usize];
-        slice.devices += 1;
-        slice.lmk_kills += row.lmk_kills;
-        for &us in &row.hot_launch_us {
-            slice.hot_launch_us.record(us);
-        }
-        let peak = row.hot_launch_us.iter().copied().max().unwrap_or(0);
-        self.peak_hot_us.record(peak);
-        self.device_kills.record(row.lmk_kills);
-        let candidate = OutlierCandidate {
-            index: row.index,
-            peak_hot_us: peak,
-            kills: row.lmk_kills,
-            fingerprint: row.fingerprint,
-        };
-        self.latency_outliers.offer(peak, candidate);
-        self.kill_outliers.offer(row.lmk_kills, candidate);
-    }
-
-    /// Folds another shard in (commutative with [`Self::absorb`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shards were sized for different cohorts.
-    pub fn merge(&mut self, other: &CohortTelemetry) {
-        assert_eq!(self.slice_len, other.slice_len, "shards must share a slice length");
-        assert_eq!(self.slices.len(), other.slices.len(), "shards must share a cohort size");
-        self.overall.merge(&other.overall);
-        for (a, b) in self.schemes.iter_mut().zip(&other.schemes) {
-            a.merge(b);
-        }
-        for class in &other.classes {
-            self.class_mut(&class.class).merge(&class.attribution);
-        }
-        for (a, b) in self.slices.iter_mut().zip(&other.slices) {
-            a.devices += b.devices;
-            a.lmk_kills += b.lmk_kills;
-            a.hot_launch_us.merge(&b.hot_launch_us);
-        }
-        self.peak_hot_us.merge(&other.peak_hot_us);
-        self.device_kills.merge(&other.device_kills);
-        self.latency_outliers.merge(&other.latency_outliers);
-        self.kill_outliers.merge(&other.kill_outliers);
-    }
-
-    /// The burn-rate window observations for `spec`, derived from the
-    /// per-slice state. Pure post-merge computation: windows chunk the
-    /// slice rows in ordinal order; windows with no data are skipped.
-    pub fn slo_points(&self, spec: &SloSpec) -> Vec<SloWindowPoint> {
-        let window = spec.window_slices.max(1) as usize;
-        self.slices
-            .chunks(window)
-            .filter_map(|chunk| {
-                let window_start = chunk[0].slice;
-                let window_end = chunk.last().expect("chunks are non-empty").slice + 1;
-                let value_milli = match spec.metric {
-                    SloMetric::HotLaunch => {
-                        let mut hist = LogHistogram::new();
-                        for s in chunk {
-                            hist.merge(&s.hot_launch_us);
-                        }
-                        if hist.count() == 0 {
-                            return None;
-                        }
-                        // µs *is* the milli-unit of the ms threshold.
-                        hist.quantile(spec.percentile_bp as f64 / 10_000.0)
-                    }
-                    SloMetric::LmkKills => {
-                        let devices: u64 = chunk.iter().map(|s| s.devices).sum();
-                        if devices == 0 {
-                            return None;
-                        }
-                        let kills: u64 = chunk.iter().map(|s| s.lmk_kills).sum();
-                        kills.saturating_mul(1000) / devices
-                    }
-                };
-                Some(SloWindowPoint { window_start, window_end, value_milli })
-            })
-            .collect()
-    }
-
-    /// Ranks the pooled candidates by z-score against the merged moments
-    /// and returns the top `k` (score desc, index asc), deduplicated
-    /// across the two pools. Deterministic: every input is a pure function
-    /// of the order-free aggregate.
-    pub fn rank_outliers(&self, k: usize) -> Vec<Outlier> {
-        let mut by_index: std::collections::BTreeMap<u32, Outlier> =
-            std::collections::BTreeMap::new();
-        for (_, c) in self.latency_outliers.entries.iter().chain(&self.kill_outliers.entries) {
-            by_index.entry(c.index).or_insert_with(|| {
-                let z_latency = self.peak_hot_us.z_score(c.peak_hot_us);
-                let z_kills = self.device_kills.z_score(c.kills);
-                Outlier {
-                    index: c.index,
-                    score: z_latency.max(z_kills),
-                    z_latency,
-                    z_kills,
-                    peak_hot_us: c.peak_hot_us,
-                    kills: c.kills,
-                    fingerprint: c.fingerprint,
-                }
-            });
-        }
-        let mut ranked: Vec<Outlier> = by_index.into_values().collect();
-        ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.index.cmp(&b.index)));
-        ranked.truncate(k);
-        ranked
-    }
-
-    /// Evaluates every spec against the per-slice state (post-merge).
-    pub fn evaluate(&self, slos: &[SloSpec]) -> Vec<SloVerdict> {
-        slos.iter().map(|s| SloVerdict::evaluate(s, self.slo_points(s))).collect()
-    }
 }
 
 // ------------------------------------------------------------- drill-down
@@ -523,6 +322,7 @@ pub fn drill_down(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::population::PopulationAggregate;
 
     fn sample(total: u64, fault: u64, decompress: u64, gc: u64) -> LaunchSpanSample {
         LaunchSpanSample {
@@ -577,7 +377,7 @@ mod tests {
 
     #[test]
     fn rank_outliers_dedupes_and_orders_by_score() {
-        let mut t = CohortTelemetry::new(8, 4);
+        let mut t = PopulationAggregate::new(8, 4);
         // A background population of quiet devices plus two loud ones:
         // device 6 has the latency spike, device 3 the kill storm, and
         // device 6 is also second-worst on kills (pool overlap).
@@ -604,7 +404,7 @@ mod tests {
 
     #[test]
     fn slo_points_window_the_slices() {
-        let mut t = CohortTelemetry::new(16, 4); // 4 slices
+        let mut t = PopulationAggregate::new(16, 4); // 4 slices
         for (i, s) in t.slices.iter_mut().enumerate() {
             s.devices = 4;
             s.lmk_kills = i as u64; // 0,1,2,3 kills
@@ -620,17 +420,19 @@ mod tests {
         assert_eq!(kp.len(), 1);
         // 6 kills over 16 devices = 375 milli-kills/device-day.
         assert_eq!(kp[0].value_milli, 375);
-        let verdicts = t.evaluate(&[lat, kills]);
+        t.evaluate_slos(&[lat, kills]);
+        let verdicts = &t.slo_verdicts;
         assert_eq!(verdicts.len(), 2);
         assert!(!verdicts[0].pass, "400ms p99 window breaches a 250ms objective");
     }
 
     #[test]
     fn empty_windows_are_skipped_not_breached() {
-        let t = CohortTelemetry::new(8, 4);
+        let mut t = PopulationAggregate::new(8, 4);
         let spec = SloSpec::hot_launch_ms("lat", 9900, 1, 1);
         assert!(t.slo_points(&spec).is_empty(), "no data, no windows");
-        let verdict = &t.evaluate(std::slice::from_ref(&spec))[0];
+        t.evaluate_slos(std::slice::from_ref(&spec));
+        let verdict = &t.slo_verdicts[0];
         assert!(verdict.pass);
         assert_eq!(verdict.windows, 0);
     }

@@ -158,7 +158,6 @@ fn capacity_run_is_deterministic() -> Result<(), FleetError> {
 /// Runs a cheap slice of the registry and fingerprints everything a user
 /// can observe: the rendered text and the export JSON.
 fn harness_fingerprint(threads: usize) -> String {
-    use fleet::experiment::export::ExportRecord;
     use fleet::experiment::harness::{run_experiments, select};
 
     let selected = select(&[
@@ -176,8 +175,7 @@ fn harness_fingerprint(threads: usize) -> String {
         fp.push_str(report.id);
         fp.push_str(&output.render());
         for artifact in &output.exports {
-            let record = ExportRecord::new(&artifact.id, &artifact.paper, &artifact.data);
-            fp.push_str(&record.to_json().expect("export serialises"));
+            fp.push_str(&serde_json::to_string_pretty(artifact).expect("export serialises"));
         }
     }
     fp

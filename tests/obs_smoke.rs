@@ -18,24 +18,24 @@ fn pool_apps() -> Vec<String> {
     ["Twitter", "Youtube", "Chrome", "Spotify"].iter().map(|s| s.to_string()).collect()
 }
 
-/// Scans placed spans for each `launch_hot` root and returns
-/// `(root_dur, child_dur_sum)` per launch. Children are the depth-1 spans
-/// the tracer placed immediately after their root (one `feed_batch` per
-/// launch keeps the family contiguous).
-fn launch_families(spans: &[PlacedSpan]) -> Vec<(u64, u64)> {
+/// Scans placed spans for each `launch_hot` root and returns it with its
+/// depth-1 children. Children are the spans the tracer placed immediately
+/// after their root (one `feed_batch` per launch keeps the family
+/// contiguous).
+fn launch_families(spans: &[PlacedSpan]) -> Vec<(&PlacedSpan, Vec<&PlacedSpan>)> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < spans.len() {
         if spans[i].name == "launch_hot" {
-            let mut sum = 0;
+            let mut children = Vec::new();
             let mut j = i + 1;
             while j < spans.len() && spans[j].depth > spans[i].depth {
                 if spans[j].depth == spans[i].depth + 1 {
-                    sum += spans[j].dur;
+                    children.push(&spans[j]);
                 }
                 j += 1;
             }
-            out.push((spans[i].dur, sum));
+            out.push((&spans[i], children));
             i = j;
         } else {
             i += 1;
@@ -46,13 +46,26 @@ fn launch_families(spans: &[PlacedSpan]) -> Vec<(u64, u64)> {
 
 #[test]
 fn launch_span_children_tile_the_root_exactly() {
+    const APP: &str = "Twitter";
     let pipeline = shared::<ObsPipeline>();
-    let reports = {
+    let (reports, launch_gc_faulted) = {
         let _guard = install(pipeline.clone());
         let mut pool = AppPool::under_pressure(SchemeKind::Fleet, &pool_apps(), 23).unwrap();
-        pool.measure_hot_launches("Twitter", 3).unwrap()
+        let reports = pool.measure_hot_launches(APP, 3).unwrap();
+        // A launch GC is recorded at its launch's start instant.
+        let faulting_gcs: Vec<_> = pool
+            .device()
+            .processes()
+            .filter(|p| p.name == APP)
+            .flat_map(|p| &p.gcs)
+            .filter(|gc| gc.stats.fault_stall.as_nanos() > 0)
+            .map(|gc| gc.at)
+            .collect();
+        let faulted = reports.iter().any(|r| faulting_gcs.contains(&r.at));
+        (reports, faulted)
     };
     assert_eq!(reports.len(), 3);
+    assert!(launch_gc_faulted, "the run must include a launch GC that faults");
     let pipe = pipeline.lock().unwrap();
     let families = launch_families(pipe.spans());
     assert!(
@@ -60,11 +73,31 @@ fn launch_span_children_tile_the_root_exactly() {
         "every measured hot launch must leave a launch_hot span"
     );
     for (root, children) in &families {
-        assert!(*root > 0, "a hot launch under pressure takes time");
+        assert!(root.dur > 0, "a hot launch under pressure takes time");
+        let sum: u64 = children.iter().map(|c| c.dur).sum();
         // The acceptance bar is 1%; the construction makes it exact.
-        let err = root.abs_diff(*children) as f64 / *root as f64;
-        assert!(err < 0.01, "children ({children} ns) must reconcile with the root ({root} ns)");
-        assert_eq!(children, root, "the tiling is exact by construction");
+        let err = root.dur.abs_diff(sum) as f64 / root.dur as f64;
+        assert!(err < 0.01, "children ({sum} ns) must reconcile with the root ({} ns)", root.dur);
+        assert_eq!(sum, root.dur, "the tiling is exact by construction");
+    }
+    // Each measured launch's children are its report's spans: the launch
+    // GC's faults count as fault-in, as they do in the report.
+    for r in &reports {
+        let (root, children) = families
+            .iter()
+            .find(|(root, _)| {
+                root.dur == r.total.as_nanos()
+                    && root.args.contains(&("faulted_pages", r.faulted_pages))
+            })
+            .expect("a measured hot launch left no launch_hot span");
+        let (cpu, fault_in, gc_pause) = r.spans();
+        let got: Vec<(&str, u64)> = children.iter().map(|c| (c.name, c.dur)).collect();
+        let want = [
+            ("cpu", cpu.as_nanos()),
+            ("fault_in", fault_in.as_nanos()),
+            ("gc_pause", gc_pause.as_nanos()),
+        ];
+        assert_eq!(got, want, "launch at {} ns (root {} ns)", r.at.as_nanos(), root.dur);
     }
 }
 

@@ -172,6 +172,6 @@ fn audit_does_not_perturb_the_cohort() {
     assert_eq!(audited.aggregate, plain.aggregate);
     // The invariants must have run against heterogeneous stacks, not six
     // copies of one scheme.
-    let covered = audited.aggregate.scheme_devices.iter().filter(|&&n| n > 0).count();
+    let covered = audited.aggregate.schemes.iter().filter(|row| row.devices > 0).count();
     assert!(covered >= 2, "cohort of {COHORT_DEVICES} covered only {covered} scheme(s)");
 }

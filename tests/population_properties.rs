@@ -109,9 +109,9 @@ fn aggregation_differential_against_naive_fold() {
         assert_eq!(agg.lmk_kills, naive.lmk_kills);
         assert_eq!(agg.faults, naive.faults);
         assert_eq!(agg.cohort_hash, naive.cohort_hash);
-        assert_eq!(agg.hot_launch_us.buckets(), naive.hot_launch_us.buckets());
+        assert_eq!(agg.launch.total_us.buckets(), naive.launch.total_us.buckets());
         for q in [0.5, 0.99, 0.999] {
-            assert_eq!(agg.hot_launch_us.quantile(q), naive.hot_launch_us.quantile(q));
+            assert_eq!(agg.launch.total_us.quantile(q), naive.launch.total_us.quantile(q));
         }
         assert_eq!(agg.slices, naive.slices);
         assert_eq!(agg, &naive);

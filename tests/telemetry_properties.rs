@@ -3,7 +3,7 @@
 //! evaluate deterministically, and outlier drill-down replays each flagged
 //! device-day to the bit-identical fingerprint the cohort recorded.
 
-use fleet::population::{run_population, PopulationSpec, RangeU32};
+use fleet::population::{run_population, PopulationAggregate, PopulationSpec, RangeU32};
 use fleet::{drill_down, SchemeKind, SloSpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -66,7 +66,7 @@ proptest! {
         // breach.
         let report = sequential.aggregate.slo_report();
         prop_assert_eq!(report.verdicts.len(), 3);
-        let points = sequential.aggregate.telemetry.slo_points(&spec.slos[0]);
+        let points = sequential.aggregate.slo_points(&spec.slos[0]);
         let expected = points.iter().filter(|p| p.value_milli > 0).count();
         prop_assert_eq!(report.verdicts[0].windows as usize, points.len());
         prop_assert_eq!(report.verdicts[0].breaches.len(), expected);
@@ -81,7 +81,7 @@ proptest! {
     fn drilldown_replays_outliers_bit_identically(seed in any::<u64>()) {
         let spec = tiny_spec(seed, 4, 0.5);
         let run = run_population(&spec, 2).unwrap();
-        let outliers = run.aggregate.telemetry.rank_outliers(3);
+        let outliers = run.aggregate.rank_outliers(3);
         prop_assert!(!outliers.is_empty(), "a nonempty cohort must rank outliers");
         let dir = scratch(&format!("prop_{seed:016x}"));
         let records = drill_down(&spec, &outliers, &dir).unwrap();
@@ -101,8 +101,8 @@ proptest! {
 }
 
 /// Telemetry rides the aggregate invisibly: armed monitors change verdicts
-/// but not one byte of the simulation — the cohort hash and the telemetry
-/// fold match a monitor-free run of the same spec.
+/// but not one byte of the simulation — the cohort hash and the rest of
+/// the aggregate match a monitor-free run of the same spec.
 #[test]
 fn slo_monitors_never_perturb_the_cohort() {
     let armed = tiny_spec(0x7E1E, 5, 0.5);
@@ -111,10 +111,9 @@ fn slo_monitors_never_perturb_the_cohort() {
     let a = run_population(&armed, 2).unwrap().aggregate;
     let p = run_population(&plain, 2).unwrap().aggregate;
     assert_eq!(a.cohort_hash, p.cohort_hash);
-    assert_eq!(a.telemetry, p.telemetry);
-    assert_eq!(a.hot_launch_us, p.hot_launch_us);
     assert!(!a.slo_verdicts.is_empty());
     assert!(p.slo_verdicts.is_empty());
+    assert_eq!(PopulationAggregate { slo_verdicts: Vec::new(), ..a }, p);
 }
 
 /// The attribution decomposition reconciles: per-scheme and per-class
@@ -124,19 +123,19 @@ fn slo_monitors_never_perturb_the_cohort() {
 fn attribution_partitions_hot_launches() {
     let spec = tiny_spec(0xA77B, 6, 0.5);
     let run = run_population(&spec, 3).unwrap();
-    let tele = &run.aggregate.telemetry;
-    assert_eq!(tele.overall.launches(), run.aggregate.hot_launches);
-    let by_scheme: u64 = tele.schemes.iter().map(|a| a.launches()).sum();
-    let by_class: u64 = tele.classes.iter().map(|c| c.attribution.launches()).sum();
-    assert_eq!(by_scheme, run.aggregate.hot_launches);
-    assert_eq!(by_class, run.aggregate.hot_launches);
+    let agg = &run.aggregate;
+    assert_eq!(agg.launch.launches(), agg.hot_launches);
+    let by_scheme: u64 = agg.schemes.iter().map(|row| row.launch.launches()).sum();
+    let by_class: u64 = agg.classes.iter().map(|c| c.attribution.launches()).sum();
+    assert_eq!(by_scheme, agg.hot_launches);
+    assert_eq!(by_class, agg.hot_launches);
     // cpu + fault_in + gc_pause sums back to total (decompress nests
     // inside fault_in), so the share percentages are a true decomposition.
     assert_eq!(
-        tele.overall.total_us.sum(),
-        tele.overall.cpu_us.sum() + tele.overall.fault_in_us.sum() + tele.overall.gc_pause_us.sum()
+        agg.launch.total_us.sum(),
+        agg.launch.cpu_us.sum() + agg.launch.fault_in_us.sum() + agg.launch.gc_pause_us.sum()
     );
-    assert!(tele.overall.decompress_us.sum() <= tele.overall.fault_in_us.sum());
+    assert!(agg.launch.decompress_us.sum() <= agg.launch.fault_in_us.sum());
 }
 
 /// Drill-down is itself deterministic: two replays of the same outlier
@@ -145,7 +144,7 @@ fn attribution_partitions_hot_launches() {
 fn drilldown_artifacts_are_reproducible() {
     let spec = tiny_spec(0xD811, 4, 1.0);
     let run = run_population(&spec, 2).unwrap();
-    let outliers = run.aggregate.telemetry.rank_outliers(2);
+    let outliers = run.aggregate.rank_outliers(2);
     let dir_a = scratch("repro_a");
     let dir_b = scratch("repro_b");
     let rec_a = drill_down(&spec, &outliers, &dir_a).unwrap();
@@ -184,14 +183,13 @@ fn single_scheme_cohort_attributes_to_one_row() {
     let mut spec = tiny_spec(0x51, 3, 0.0);
     spec.schemes = vec![SchemeKind::Fleet];
     let run = run_population(&spec, 1).unwrap();
-    let tele = &run.aggregate.telemetry;
     let fleet_idx =
         SchemeKind::ALL.iter().position(|&s| s == SchemeKind::Fleet).expect("Fleet in ALL");
-    for (i, attribution) in tele.schemes.iter().enumerate() {
+    for (i, row) in run.aggregate.schemes.iter().enumerate() {
         if i == fleet_idx {
-            assert_eq!(attribution.launches(), run.aggregate.hot_launches);
+            assert_eq!(row.launch.launches(), run.aggregate.hot_launches);
         } else {
-            assert_eq!(attribution.launches(), 0);
+            assert_eq!(row.launch.launches(), 0);
         }
     }
 }
