@@ -1,6 +1,5 @@
 //! Device configuration: the simulated Pixel 3 and the simulation scale.
 
-use crate::error::FleetError;
 use crate::params::{FleetParams, SchemeKind};
 use fleet_kernel::{
     FaultConfig, IntegrityConfig, KillPolicy, MmConfig, ReclaimPolicy, SwapConfig, SwapMedium,
@@ -113,28 +112,23 @@ pub struct DeviceConfig {
 }
 
 impl DeviceConfig {
-    /// Starts a [`DeviceConfigBuilder`] from the §6 Pixel 3 defaults.
+    /// The §6 Pixel 3 platform running `scheme`, at 1/16 scale.
     ///
-    /// The builder is the preferred way to derive experiment variants:
-    /// it keeps the Pixel 3 baseline in one place and validates the result
-    /// in [`DeviceConfigBuilder::build`], so a sweep cannot silently run
-    /// with an impossible configuration.
+    /// Experiment variants are struct updates of it; [`Self::validate`] (and
+    /// [`Device::try_new`](crate::Device::try_new)) rejects an impossible
+    /// combination, so a sweep cannot silently run one.
     ///
     /// ```
     /// use fleet::{DeviceConfig, SchemeKind};
     ///
-    /// let cfg = DeviceConfig::builder(SchemeKind::Fleet)
-    ///     .dram_mib(6144)
-    ///     .swap_read_bw(40.0e6)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(cfg.dram_mib, 6144);
+    /// let cfg = DeviceConfig {
+    ///     dram_mib: 6144, // a 6 GB variant
+    ///     swap_read_bw: 40.0e6,
+    ///     ..DeviceConfig::pixel3(SchemeKind::Fleet)
+    /// };
+    /// assert!(cfg.validate().is_ok());
+    /// assert!(DeviceConfig { scale: 0, ..cfg }.validate().is_err());
     /// ```
-    pub fn builder(scheme: SchemeKind) -> DeviceConfigBuilder {
-        DeviceConfigBuilder { config: DeviceConfig::pixel3(scheme) }
-    }
-
-    /// The §6 Pixel 3 platform running `scheme`, at 1/16 scale.
     pub fn pixel3(scheme: SchemeKind) -> Self {
         DeviceConfig {
             scheme,
@@ -179,63 +173,13 @@ impl DeviceConfig {
         }
     }
 
-    /// The kernel memory-manager configuration implied by this device.
+    /// The kernel memory-manager configuration implied by this device, or
+    /// the first constraint the device violates.
     ///
     /// Bandwidths are divided by `scale` so that a *scaled* page population
-    /// produces *real-scale* stall times. Call it only on a validated config.
-    pub(crate) fn mm_config(&self) -> MmConfig {
-        let frames = self.app_dram_bytes() / PAGE_SIZE;
-        let swap = match self.swap_medium {
-            SwapMedium::Flash => SwapConfig {
-                capacity_bytes: self.swap_bytes(),
-                read_bw: self.swap_read_bw / self.scale as f64,
-                write_bw: self.swap_write_bw / self.scale as f64,
-                op_latency: SimDuration::from_micros(80 * self.scale as u64),
-                medium: SwapMedium::Flash,
-            },
-            SwapMedium::Zram { compression_ratio } => {
-                let base = SwapConfig::try_zram(self.swap_bytes(), compression_ratio)
-                    .expect("zram swap medium validated by DeviceConfig::validate");
-                SwapConfig {
-                    read_bw: base.read_bw / self.scale as f64,
-                    write_bw: base.write_bw / self.scale as f64,
-                    op_latency: base.op_latency * self.scale as u64,
-                    ..base
-                }
-            }
-        };
-        let zram = self.zram_front.map(|front| {
-            let base = SwapConfig::try_zram(
-                front.mib as u64 * 1024 * 1024 / self.scale as u64,
-                front.compression_ratio,
-            )
-            .expect("zram front validated by DeviceConfig::validate");
-            SwapConfig {
-                read_bw: base.read_bw / self.scale as f64,
-                write_bw: base.write_bw / self.scale as f64,
-                op_latency: base.op_latency * self.scale as u64,
-                ..base
-            }
-        });
-        MmConfig {
-            dram_bytes: self.app_dram_bytes(),
-            swap,
-            zram,
-            file_read_bw: 300.0e6 / self.scale as f64,
-            swappiness: self.swappiness,
-            low_watermark_frames: frames / 24,
-            high_watermark_frames: frames / 12,
-            dram_page_cost: SimDuration::from_nanos(450 * self.scale as u64),
-            integrity: self.integrity,
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// produces *real-scale* stall times. Every zram tier, back or front, is
+    /// built by [`SwapConfig::try_zram`], which owns the zram rules.
+    pub(crate) fn mm_config(&self) -> Result<MmConfig, String> {
         if self.scale == 0 {
             return Err("scale must be at least 1".into());
         }
@@ -248,18 +192,7 @@ impl DeviceConfig {
         if self.marvin_threshold == 0 {
             return Err("marvin threshold must be positive".into());
         }
-        if let SwapMedium::Zram { compression_ratio } = self.swap_medium {
-            if !compression_ratio.is_finite() || compression_ratio <= 1.0 {
-                return Err("zram compression ratio must be a finite value above 1.0".into());
-            }
-        }
-        if let Some(front) = self.zram_front {
-            if front.mib == 0 {
-                return Err("zram front tier must have a positive capacity".into());
-            }
-            if !front.compression_ratio.is_finite() || front.compression_ratio <= 1.0 {
-                return Err("zram front compression ratio must be a finite value above 1.0".into());
-            }
+        if self.zram_front.is_some() {
             if !matches!(self.swap_medium, SwapMedium::Flash) {
                 return Err("a zram front tier requires a flash-backed swap partition".into());
             }
@@ -270,143 +203,77 @@ impl DeviceConfig {
         self.fault.validate()?;
         self.reclaim_policy.validate()?;
         self.integrity.validate()?;
-        Ok(())
-    }
-}
 
-/// Builder for [`DeviceConfig`], seeded from the Pixel 3 defaults.
-///
-/// Created by [`DeviceConfig::builder`]. Every setter overrides one field of
-/// the §6 platform; [`DeviceConfigBuilder::build`] validates the combination
-/// and returns [`FleetError::InvalidConfig`] on contradiction, which is the
-/// difference from mutating a `DeviceConfig` struct literal by hand.
-#[derive(Debug, Clone)]
-pub struct DeviceConfigBuilder {
-    config: DeviceConfig,
-}
-
-impl DeviceConfigBuilder {
-    /// Memory-management scheme under test.
-    pub fn scheme(mut self, scheme: SchemeKind) -> Self {
-        self.config.scheme = scheme;
-        self
-    }
-
-    /// Scale divisor (capacities shrink, per-byte latencies grow).
-    pub fn scale(mut self, scale: u32) -> Self {
-        self.config.scale = scale;
-        self
-    }
-
-    /// Physical DRAM in MiB.
-    pub fn dram_mib(mut self, mib: u32) -> Self {
-        self.config.dram_mib = mib;
-        self
-    }
-
-    /// Swap partition size in MiB.
-    pub fn swap_mib(mut self, mib: u32) -> Self {
-        self.config.swap_mib = mib;
-        self
-    }
-
-    /// Swap read bandwidth at real scale, bytes/s.
-    pub fn swap_read_bw(mut self, bw: f64) -> Self {
-        self.config.swap_read_bw = bw;
-        self
+        let scale = self.scale as u64;
+        let scaled = |tier: SwapConfig| SwapConfig {
+            read_bw: tier.read_bw / scale as f64,
+            write_bw: tier.write_bw / scale as f64,
+            op_latency: tier.op_latency * scale,
+            ..tier
+        };
+        let swap = match self.swap_medium {
+            SwapMedium::Flash => SwapConfig {
+                capacity_bytes: self.swap_bytes(),
+                read_bw: self.swap_read_bw,
+                write_bw: self.swap_write_bw,
+                op_latency: SimDuration::from_micros(80),
+                medium: SwapMedium::Flash,
+            },
+            SwapMedium::Zram { compression_ratio } => {
+                SwapConfig::try_zram(self.swap_bytes(), compression_ratio)
+                    .map_err(|e| format!("zram swap medium: {e}"))?
+            }
+        };
+        let zram = match self.zram_front {
+            Some(front) => {
+                let capacity = front.mib as u64 * 1024 * 1024 / scale;
+                let tier = SwapConfig::try_zram(capacity, front.compression_ratio)
+                    .map_err(|e| format!("zram front tier: {e}"))?;
+                Some(scaled(tier))
+            }
+            None => None,
+        };
+        let frames = self.app_dram_bytes() / PAGE_SIZE;
+        Ok(MmConfig {
+            dram_bytes: self.app_dram_bytes(),
+            swap: scaled(swap),
+            zram,
+            file_read_bw: 300.0e6 / scale as f64,
+            swappiness: self.swappiness,
+            low_watermark_frames: frames / 24,
+            high_watermark_frames: frames / 12,
+            dram_page_cost: SimDuration::from_nanos(450 * scale),
+            integrity: self.integrity,
+        })
     }
 
-    /// Swap write bandwidth at real scale, bytes/s.
-    pub fn swap_write_bw(mut self, bw: f64) -> Self {
-        self.config.swap_write_bw = bw;
-        self
-    }
-
-    /// Backs the swap space with a zram device at the given compression
-    /// ratio instead of the paper's flash partition.
-    pub fn zram(mut self, compression_ratio: f64) -> Self {
-        self.config.swap_medium = SwapMedium::Zram { compression_ratio };
-        self
-    }
-
-    /// Any [`SwapMedium`], for cases the [`Self::zram`] shorthand can't say.
-    pub fn swap_medium(mut self, medium: SwapMedium) -> Self {
-        self.config.swap_medium = medium;
-        self
-    }
-
-    /// Places a zram front tier of `mib` MiB (uncompressed capacity, real
-    /// scale) at the given compression ratio ahead of the flash partition,
-    /// enabling hotness-aware tiered placement with writeback.
-    pub fn zram_front(mut self, mib: u32, compression_ratio: f64) -> Self {
-        self.config.zram_front = Some(ZramFront { mib, compression_ratio });
-        self
-    }
-
-    /// Heap-growth factor while an app is in the background (§7.4).
-    pub fn heap_growth_background(mut self, factor: f64) -> Self {
-        self.config.heap_growth_background = factor;
-        self
-    }
-
-    /// Kernel reclaim balance (`vm.swappiness`-style, 0–200).
-    pub fn swappiness(mut self, swappiness: u32) -> Self {
-        self.config.swappiness = swappiness;
-        self
-    }
-
-    /// Master seed for the run.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Fault-injection rates for the swap device (default: quiet).
-    pub fn fault(mut self, fault: FaultConfig) -> Self {
-        self.config.fault = fault;
-        self
-    }
-
-    /// How reclaim daemons run (default: `Reactive`, the legacy
-    /// pressure-driven stack). `ReclaimPolicy::swam()` enables SWAM-style
-    /// proactive reclaim with working-set tracking.
-    pub fn reclaim_policy(mut self, policy: ReclaimPolicy) -> Self {
-        self.config.reclaim_policy = policy;
-        self
-    }
-
-    /// How the low-memory killer picks victims (default: `ColdestFirst`).
-    pub fn kill_policy(mut self, policy: KillPolicy) -> Self {
-        self.config.kill_policy = policy;
-        self
-    }
-
-    /// Swap data-integrity layer (default: disabled).
-    /// `IntegrityConfig::checked()` arms per-slot checksums with the
-    /// quarantine/retirement ladder and background scrubber.
-    pub fn integrity(mut self, integrity: IntegrityConfig) -> Self {
-        self.config.integrity = integrity;
-        self
-    }
-
-    /// Validates the assembled configuration.
+    /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// [`FleetError::InvalidConfig`] naming the first violated constraint.
-    pub fn build(self) -> Result<DeviceConfig, FleetError> {
-        self.config.validate().map_err(FleetError::InvalidConfig)?;
-        Ok(self.config)
+    /// Returns a message describing the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        self.mm_config().map(drop)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
+    use crate::error::FleetError;
+
+    fn fleet() -> DeviceConfig {
+        DeviceConfig::pixel3(SchemeKind::Fleet)
+    }
+
+    fn zram_front(mib: u32, compression_ratio: f64) -> Option<ZramFront> {
+        Some(ZramFront { mib, compression_ratio })
+    }
 
     #[test]
     fn pixel3_defaults() {
-        let cfg = DeviceConfig::pixel3(SchemeKind::Fleet);
+        let cfg = fleet();
         assert!(cfg.validate().is_ok());
         // (4096 − 2304) MiB / 16 = 112 MiB for apps.
         assert_eq!(cfg.app_dram_bytes(), 112 * 1024 * 1024);
@@ -418,13 +285,12 @@ mod tests {
     fn no_swap_scheme_disables_swap() {
         let cfg = DeviceConfig::pixel3(SchemeKind::AndroidNoSwap);
         assert_eq!(cfg.swap_bytes(), 0);
-        assert_eq!(cfg.mm_config().swap.capacity_bytes, 0);
+        assert_eq!(cfg.mm_config().unwrap().swap.capacity_bytes, 0);
     }
 
     #[test]
     fn scaled_bandwidth_preserves_stall_times() {
-        let cfg = DeviceConfig::pixel3(SchemeKind::Android);
-        let mm = cfg.mm_config();
+        let mm = DeviceConfig::pixel3(SchemeKind::Android).mm_config().unwrap();
         // A scaled page set 1/16 the size read at 1/16 bandwidth costs the
         // same wall-clock time as the full set at full bandwidth.
         let real_time = (16.0 * 100.0 * PAGE_SIZE as f64) / 20.3e6;
@@ -433,47 +299,42 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_pixel3_when_untouched() {
-        let built = DeviceConfig::builder(SchemeKind::Marvin).build().unwrap();
-        assert_eq!(built, DeviceConfig::pixel3(SchemeKind::Marvin));
-    }
-
-    #[test]
-    fn builder_overrides_and_validates() {
-        let cfg = DeviceConfig::builder(SchemeKind::Fleet)
-            .dram_mib(8192)
-            .swap_read_bw(40.0e6)
-            .swap_write_bw(30.0e6)
-            .zram(2.5)
-            .seed(42)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.dram_mib, 8192);
-        assert_eq!(cfg.swap_read_bw, 40.0e6);
-        assert_eq!(cfg.swap_medium, SwapMedium::Zram { compression_ratio: 2.5 });
-        assert_eq!(cfg.seed, 42);
-
-        let err = DeviceConfig::builder(SchemeKind::Fleet).scale(0).build();
-        assert!(matches!(err, Err(FleetError::InvalidConfig(_))));
+    fn struct_updates_override_and_validate() {
+        let cfg = DeviceConfig {
+            dram_mib: 8192,
+            swap_read_bw: 40.0e6,
+            swap_write_bw: 30.0e6,
+            swap_medium: SwapMedium::Zram { compression_ratio: 2.5 },
+            seed: 42,
+            ..fleet()
+        };
+        let mm = cfg.mm_config().unwrap();
+        // (8192 − 2304) MiB / 16 of app DRAM, swapping to zram at LZ4 speed.
+        assert_eq!(mm.dram_bytes, 368 * 1024 * 1024);
+        assert_eq!(mm.swap.medium, SwapMedium::Zram { compression_ratio: 2.5 });
+        assert_eq!(mm.swap.read_bw, 1.2e9 / 16.0);
+        assert!(DeviceConfig { scale: 0, ..fleet() }.validate().is_err());
     }
 
     #[test]
     fn validation_catches_bad_configs() {
-        let mut cfg = DeviceConfig::pixel3(SchemeKind::Fleet);
-        cfg.scale = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = DeviceConfig::pixel3(SchemeKind::Fleet);
-        cfg.system_reserve_mib = 5000;
-        assert!(cfg.validate().is_err());
-        let mut cfg = DeviceConfig::pixel3(SchemeKind::Fleet);
-        cfg.heap_growth_background = 0.9;
-        assert!(cfg.validate().is_err());
+        let zram = SwapMedium::Zram { compression_ratio: 2.5 };
+        for cfg in [
+            DeviceConfig { scale: 0, ..fleet() },
+            DeviceConfig { system_reserve_mib: 5000, ..fleet() },
+            DeviceConfig { heap_growth_background: 0.9, ..fleet() },
+            // A zram swap medium with no swap bytes behind it.
+            DeviceConfig { swap_medium: zram, ..DeviceConfig::pixel3(SchemeKind::AndroidNoSwap) },
+            DeviceConfig { swap_medium: zram, swap_mib: 0, ..fleet() },
+        ] {
+            assert!(matches!(Device::try_new(cfg), Err(FleetError::InvalidConfig(_))), "{cfg:?}");
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
     }
 
     #[test]
     fn zram_front_maps_to_a_hybrid_mm_config() {
-        let cfg = DeviceConfig::builder(SchemeKind::Fleet).zram_front(512, 2.5).build().unwrap();
-        let mm = cfg.mm_config();
+        let mm = DeviceConfig { zram_front: zram_front(512, 2.5), ..fleet() }.mm_config().unwrap();
         let front = mm.zram.expect("hybrid config must carry a front tier");
         // 512 MiB / 16 scale = 32 MiB of uncompressed front capacity.
         assert_eq!(front.capacity_bytes, 32 * 1024 * 1024);
@@ -482,54 +343,58 @@ mod tests {
         assert_eq!(mm.swap.capacity_bytes, 128 * 1024 * 1024);
         assert_eq!(mm.swap.medium, SwapMedium::Flash);
         // And the default device carries no front at all.
-        assert!(DeviceConfig::pixel3(SchemeKind::Fleet).mm_config().zram.is_none());
+        assert!(fleet().mm_config().unwrap().zram.is_none());
     }
 
     #[test]
     fn zram_front_validation_rejects_nonsense() {
-        let err = DeviceConfig::builder(SchemeKind::Fleet).zram_front(0, 2.5).build();
-        assert!(matches!(err, Err(FleetError::InvalidConfig(_))));
-        let err = DeviceConfig::builder(SchemeKind::Fleet).zram_front(512, 1.0).build();
-        assert!(matches!(err, Err(FleetError::InvalidConfig(_))));
-        // Front of a zram back tier models nothing.
-        let err = DeviceConfig::builder(SchemeKind::Fleet).zram(2.5).zram_front(512, 2.5).build();
-        assert!(matches!(err, Err(FleetError::InvalidConfig(_))));
-        // No-swap scheme leaves the front tier nothing to write back to.
-        let err = DeviceConfig::builder(SchemeKind::AndroidNoSwap).zram_front(512, 2.5).build();
-        assert!(matches!(err, Err(FleetError::InvalidConfig(_))));
+        for cfg in [
+            DeviceConfig { zram_front: zram_front(0, 2.5), ..fleet() },
+            DeviceConfig { zram_front: zram_front(512, 1.0), ..fleet() },
+            // Front of a zram back tier models nothing.
+            DeviceConfig {
+                swap_medium: SwapMedium::Zram { compression_ratio: 2.5 },
+                zram_front: zram_front(512, 2.5),
+                ..fleet()
+            },
+            // No-swap scheme leaves the front tier nothing to write back to.
+            DeviceConfig {
+                zram_front: zram_front(512, 2.5),
+                ..DeviceConfig::pixel3(SchemeKind::AndroidNoSwap)
+            },
+        ] {
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
     }
 
     #[test]
     fn reclaim_policy_defaults_reactive_and_validates() {
-        let cfg = DeviceConfig::pixel3(SchemeKind::Fleet);
+        let cfg = fleet();
         assert_eq!(cfg.reclaim_policy, ReclaimPolicy::Reactive);
         assert_eq!(cfg.kill_policy, KillPolicy::ColdestFirst);
 
-        let cfg = DeviceConfig::builder(SchemeKind::Fleet)
-            .reclaim_policy(ReclaimPolicy::swam())
-            .kill_policy(KillPolicy::WssWeighted)
-            .build()
-            .unwrap();
-        assert!(cfg.reclaim_policy.is_swam());
-        assert_eq!(cfg.kill_policy, KillPolicy::WssWeighted);
+        let cfg = DeviceConfig {
+            reclaim_policy: ReclaimPolicy::swam(),
+            kill_policy: KillPolicy::WssWeighted,
+            ..fleet()
+        };
+        assert!(cfg.validate().is_ok());
 
         let params = fleet_kernel::SwamParams { batch_pages: 0, ..Default::default() };
-        let err = DeviceConfig::builder(SchemeKind::Fleet)
-            .reclaim_policy(ReclaimPolicy::Swam(params))
-            .build();
-        assert!(matches!(err, Err(FleetError::InvalidConfig(_))));
+        let cfg = DeviceConfig { reclaim_policy: ReclaimPolicy::Swam(params), ..fleet() };
+        assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn fault_rates_are_validated_and_default_quiet() {
-        assert!(DeviceConfig::pixel3(SchemeKind::Fleet).fault.is_quiet());
-        let mut cfg = DeviceConfig::pixel3(SchemeKind::Fleet);
+        assert!(fleet().fault.is_quiet());
+        let mut cfg = fleet();
         cfg.fault.read_transient_rate = 2.0;
         assert!(cfg.validate().is_err());
-        let cfg = DeviceConfig::builder(SchemeKind::Android)
-            .fault(FaultConfig::flaky_flash(0.1))
-            .build()
-            .unwrap();
-        assert!(!cfg.fault.is_quiet());
+        let cfg = DeviceConfig {
+            fault: FaultConfig::flaky_flash(0.1),
+            ..DeviceConfig::pixel3(SchemeKind::Android)
+        };
+        assert!(cfg.validate().is_ok());
     }
 }

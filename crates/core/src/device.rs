@@ -223,7 +223,7 @@ impl Device {
     /// Returns [`FleetError::InvalidConfig`] if `config` fails
     /// [`DeviceConfig::validate`].
     pub fn try_new(config: DeviceConfig) -> Result<Self, FleetError> {
-        config.validate().map_err(FleetError::InvalidConfig)?;
+        let mm = config.mm_config().map_err(FleetError::InvalidConfig)?;
         let scale = config.scale as u64;
         let gc_cost = GcCostModel {
             per_object_trace: SimDuration::from_nanos(150 * scale),
@@ -234,7 +234,7 @@ impl Device {
         };
         #[allow(unused_mut)]
         let mut device = Device {
-            mm: MemoryManager::new(config.mm_config()),
+            mm: MemoryManager::new(mm),
             clock: Clock::new(),
             procs: BTreeMap::new(),
             foreground: None,

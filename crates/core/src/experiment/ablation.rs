@@ -11,12 +11,11 @@
 //!   flash partition (§2.2); how do the schemes behave on it?
 
 use crate::config::DeviceConfig;
-use crate::device::Device;
 use crate::error::FleetError;
+use crate::experiment::caching::synthetic_capacity;
 use crate::experiment::harness::{Experiment, ExperimentCtx, ExperimentOutput};
 use crate::experiment::scenario::AppPool;
 use crate::params::SchemeKind;
-use fleet_apps::synthetic_app;
 use fleet_kernel::SwapMedium;
 use fleet_metrics::{Summary, Table};
 use serde::Serialize;
@@ -66,20 +65,11 @@ fn measure_config(
     let reports = pool.measure_hot_launches("Twitter", launches)?;
     let times = Summary::from_values(reports.iter().map(|r| r.total.as_millis_f64()));
 
-    // Caching capacity with synthetic apps.
-    let mut device = Device::try_new(config)?;
-    let app = synthetic_app(2048, 180);
-    let mut max_cached = 0;
-    for _ in 0..capacity_apps {
-        device.launch_cold(&app);
-        device.run(10);
-        max_cached = max_cached.max(device.cached_apps());
-    }
     Ok(AblationRow {
         variant: variant.to_string(),
         median_hot_ms: times.median(),
         p90_hot_ms: times.p90(),
-        max_cached,
+        max_cached: synthetic_capacity(config, 2048, capacity_apps, 10)?.max_cached,
     })
 }
 

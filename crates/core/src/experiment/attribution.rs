@@ -36,8 +36,8 @@ pub struct AttributionRow {
     pub decompress_ms: f64,
     /// Mean GC share, ms (launch-GC pause + stub reconciliation).
     pub gc_ms: f64,
-    /// Mean CPU render share, ms (the remainder; always `total - fault_in
-    /// - gc` by construction).
+    /// Mean CPU render share, ms: the mean of the launches' `cpu` spans, so
+    /// `total - fault_in - gc` up to float rounding.
     pub cpu_ms: f64,
 }
 
@@ -60,34 +60,32 @@ pub fn attribute_launches(
             let reports = pool.measure_hot_launches(app, launches)?;
             let n = reports.len().max(1) as f64;
             let mut total = 0.0;
+            let mut cpu = 0.0;
             let mut fault_in = 0.0;
-            let mut decompress = 0.0;
             let mut gc = 0.0;
+            let mut decompress = 0.0;
             for r in &reports {
-                let t = r.total.as_millis_f64();
-                let f = r.fault_stall.as_millis_f64();
-                let d = r.decompress.as_millis_f64();
-                let g = r.gc_stw.as_millis_f64();
+                let (c, f, g) = r.spans();
                 // The reconciliation the trace spans rely on: the launch
                 // children must tile the root span exactly, and the
                 // decompress sub-span must nest inside fault-in.
-                debug_assert!(f + g <= t + 1e-9, "launch components exceed the total");
-                debug_assert!(d <= f + 1e-9, "decompression exceeds the fault stall");
-                total += t;
-                fault_in += f;
-                decompress += d;
-                gc += g;
+                debug_assert_eq!(c + f + g, r.total, "launch components exceed the total");
+                debug_assert!(r.decompress <= f, "decompression exceeds the fault stall");
+                total += r.total.as_millis_f64();
+                cpu += c.as_millis_f64();
+                fault_in += f.as_millis_f64();
+                gc += g.as_millis_f64();
+                decompress += r.decompress.as_millis_f64();
             }
-            let (total, fault_in, gc) = (total / n, fault_in / n, gc / n);
             rows.push(AttributionRow {
                 scheme: scheme.to_string(),
                 app: app.clone(),
                 launches: reports.len(),
-                total_ms: total,
-                fault_in_ms: fault_in,
+                total_ms: total / n,
+                fault_in_ms: fault_in / n,
                 decompress_ms: decompress / n,
-                gc_ms: gc,
-                cpu_ms: total - fault_in - gc,
+                gc_ms: gc / n,
+                cpu_ms: cpu / n,
             });
         }
     }

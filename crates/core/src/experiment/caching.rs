@@ -31,14 +31,15 @@ pub struct CapacityCurve {
     pub first_kill_at: Option<usize>,
 }
 
-fn synthetic_capacity(
-    scheme: SchemeKind,
+/// The §7.1 capacity protocol on one device: cold-launch another
+/// `object_size`-byte synthetic app, use it for `use_secs`, and count the
+/// cached apps, `max_apps` times.
+pub(crate) fn synthetic_capacity(
+    config: DeviceConfig,
     object_size: u32,
     max_apps: usize,
     use_secs: u64,
-    seed: u64,
 ) -> Result<CapacityCurve, FleetError> {
-    let config = DeviceConfig::builder(scheme).seed(seed).build()?;
     let mut device = Device::try_new(config)?;
     let app = synthetic_app(object_size, 180);
     let mut cached = Vec::new();
@@ -52,18 +53,22 @@ fn synthetic_capacity(
         }
     }
     Ok(CapacityCurve {
-        scheme: scheme.to_string(),
+        scheme: config.scheme.to_string(),
         max_cached: cached.iter().copied().max().unwrap_or(0),
         cached_after_launch: cached,
         first_kill_at,
     })
 }
 
+fn pixel3(scheme: SchemeKind, seed: u64) -> DeviceConfig {
+    DeviceConfig { seed, ..DeviceConfig::pixel3(scheme) }
+}
+
 /// Figure 11a: large-object (2048 B) synthetic apps.
 pub fn fig11a(seed: u64, max_apps: usize, use_secs: u64) -> Result<Vec<CapacityCurve>, FleetError> {
     [SchemeKind::Android, SchemeKind::Marvin, SchemeKind::Fleet]
         .into_iter()
-        .map(|s| synthetic_capacity(s, 2048, max_apps, use_secs, seed))
+        .map(|scheme| synthetic_capacity(pixel3(scheme, seed), 2048, max_apps, use_secs))
         .collect()
 }
 
@@ -71,7 +76,7 @@ pub fn fig11a(seed: u64, max_apps: usize, use_secs: u64) -> Result<Vec<CapacityC
 pub fn fig11b(seed: u64, max_apps: usize, use_secs: u64) -> Result<Vec<CapacityCurve>, FleetError> {
     [SchemeKind::Android, SchemeKind::Marvin, SchemeKind::Fleet]
         .into_iter()
-        .map(|s| synthetic_capacity(s, 512, max_apps, use_secs, seed))
+        .map(|scheme| synthetic_capacity(pixel3(scheme, seed), 512, max_apps, use_secs))
         .collect()
 }
 
@@ -96,8 +101,7 @@ pub fn fig11c(
     [SchemeKind::AndroidNoSwap, SchemeKind::Android, SchemeKind::Fleet]
         .into_iter()
         .map(|scheme| {
-            let config = DeviceConfig::builder(scheme).seed(seed).build()?;
-            let mut device = Device::try_new(config)?;
+            let mut device = Device::try_new(pixel3(scheme, seed))?;
             let apps = catalog();
             let mut pids = std::collections::BTreeMap::new();
             let mut series = Vec::new();

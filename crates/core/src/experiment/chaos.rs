@@ -14,7 +14,7 @@
 //! verify on every store and fault, yet zero detections fire — the
 //! zero-false-positive property the audit stream also proves.
 
-use crate::config::DeviceConfig;
+use crate::config::{DeviceConfig, ZramFront};
 use crate::error::FleetError;
 use crate::experiment::harness::{Experiment, ExperimentCtx, ExperimentOutput};
 use crate::experiment::scenario::AppPool;
@@ -135,12 +135,13 @@ pub fn chaos_devices(
     let mut rows = Vec::new();
     for &scheme in &schemes {
         for &intensity in intensities {
-            let config = DeviceConfig::builder(scheme)
-                .seed(seed)
-                .zram_front(512, 2.5)
-                .fault(FaultConfig::silent_corruption(intensity))
-                .integrity(chaos_integrity())
-                .build()?;
+            let config = DeviceConfig {
+                zram_front: Some(ZramFront { mib: 512, compression_ratio: 2.5 }),
+                fault: FaultConfig::silent_corruption(intensity),
+                integrity: chaos_integrity(),
+                seed,
+                ..DeviceConfig::pixel3(scheme)
+            };
             let mut pool = AppPool::with_config(config, &apps)?;
             let (reports, failed_launches) =
                 pool.measure_hot_launches_under_faults("Twitter", launches)?;

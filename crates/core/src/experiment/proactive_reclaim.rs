@@ -95,12 +95,13 @@ fn run_cell(
     kill: KillPolicy,
     cycles: usize,
 ) -> Result<ReclaimCell, FleetError> {
-    let config = DeviceConfig::builder(scheme)
-        .dram_mib(level.dram_mib)
-        .reclaim_policy(reclaim)
-        .kill_policy(kill)
-        .seed(seed)
-        .build()?;
+    let config = DeviceConfig {
+        dram_mib: level.dram_mib,
+        reclaim_policy: reclaim,
+        kill_policy: kill,
+        seed,
+        ..DeviceConfig::pixel3(scheme)
+    };
     let mut pool = AppPool::with_config(config, &fig13_apps())?;
     let probes = ["Twitter", "Youtube", "Chrome"];
     let mut hot_ms = Vec::new();

@@ -69,10 +69,11 @@ pub fn resilience(
         .map(|s| s.to_string())
         .collect();
     for &intensity in intensities {
-        let config = DeviceConfig::builder(SchemeKind::Fleet)
-            .seed(seed)
-            .fault(FaultConfig::flaky_flash(intensity))
-            .build()?;
+        let config = DeviceConfig {
+            fault: FaultConfig::flaky_flash(intensity),
+            seed,
+            ..DeviceConfig::pixel3(SchemeKind::Fleet)
+        };
         let mut pool = AppPool::with_config(config, &apps)?;
         let (reports, failed_launches) =
             pool.measure_hot_launches_under_faults("Twitter", launches)?;
@@ -180,7 +181,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let config = DeviceConfig::builder(SchemeKind::Fleet).seed(11).build().expect("valid");
+        let config = DeviceConfig { seed: 11, ..DeviceConfig::pixel3(SchemeKind::Fleet) };
         let mut pool = AppPool::with_config(config, &apps).unwrap();
         let baseline = pool.measure_hot_launches("Twitter", 3).unwrap();
         assert_eq!(a[0].launches, baseline.len());

@@ -7,12 +7,11 @@
 //! unlike Android, which is ≈31% faster at 1.1× than at 2×.
 
 use crate::config::DeviceConfig;
-use crate::device::Device;
 use crate::error::FleetError;
+use crate::experiment::caching::synthetic_capacity;
 use crate::experiment::harness::{Experiment, ExperimentCtx, ExperimentOutput};
 use crate::experiment::scenario::AppPool;
 use crate::params::SchemeKind;
-use fleet_apps::synthetic_app;
 use fleet_metrics::{Summary, Table};
 use serde::Serialize;
 
@@ -38,23 +37,16 @@ pub fn sensitivity(
     let mut rows = Vec::new();
     for scheme in [SchemeKind::Android, SchemeKind::Fleet] {
         for factor in [1.1, 2.0] {
+            let config = DeviceConfig {
+                heap_growth_background: factor,
+                seed,
+                ..DeviceConfig::pixel3(scheme)
+            };
             // Caching capacity with synthetic apps.
-            let config =
-                DeviceConfig::builder(scheme).seed(seed).heap_growth_background(factor).build()?;
-            let mut device = Device::try_new(config)?;
-            let app = synthetic_app(2048, 180);
-            let mut max_cached = 0;
-            for _ in 0..max_apps {
-                device.launch_cold(&app);
-                device.run(10);
-                max_cached = max_cached.max(device.cached_apps());
-            }
+            let max_cached = synthetic_capacity(config, 2048, max_apps, 10)?.max_cached;
 
             // Hot-launch medians with commercial apps.
-            let config = DeviceConfig::builder(scheme)
-                .seed(seed ^ 0x74)
-                .heap_growth_background(factor)
-                .build()?;
+            let config = DeviceConfig { seed: seed ^ 0x74, ..config };
             let apps: Vec<String> = ["Twitter", "Facebook", "Youtube", "Chrome", "Spotify"]
                 .iter()
                 .map(|s| s.to_string())

@@ -14,12 +14,12 @@
 //! — warm refaults decompress from zram, cold slots age out to flash. The
 //! differential test below pins exactly that ordering.
 
-use crate::config::DeviceConfig;
+use crate::config::{DeviceConfig, ZramFront};
 use crate::error::FleetError;
 use crate::experiment::harness::{Experiment, ExperimentCtx, ExperimentOutput};
 use crate::experiment::scenario::{fig13_apps, AppPool};
 use crate::params::SchemeKind;
-use fleet_kernel::SwapStats;
+use fleet_kernel::{SwapMedium, SwapStats};
 use fleet_metrics::{Summary, Table};
 use serde::Serialize;
 
@@ -57,17 +57,18 @@ impl TierVariant {
     }
 
     /// The device configuration this variant runs.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::InvalidConfig`] — unreachable for the constants here,
-    /// but the builder validates on principle.
-    pub fn device(self, scheme: SchemeKind, seed: u64) -> Result<DeviceConfig, FleetError> {
-        let builder = DeviceConfig::builder(scheme).seed(seed);
+    pub fn device(self, scheme: SchemeKind, seed: u64) -> DeviceConfig {
+        let flash = DeviceConfig { seed, ..DeviceConfig::pixel3(scheme) };
+        let compression_ratio = ZRAM_RATIO;
         match self {
-            TierVariant::FlashOnly => builder.build(),
-            TierVariant::ZramOnly => builder.zram(ZRAM_RATIO).build(),
-            TierVariant::Hybrid => builder.zram_front(HYBRID_FRONT_MIB, ZRAM_RATIO).build(),
+            TierVariant::FlashOnly => flash,
+            TierVariant::ZramOnly => {
+                DeviceConfig { swap_medium: SwapMedium::Zram { compression_ratio }, ..flash }
+            }
+            TierVariant::Hybrid => DeviceConfig {
+                zram_front: Some(ZramFront { mib: HYBRID_FRONT_MIB, compression_ratio }),
+                ..flash
+            },
         }
     }
 }
@@ -117,8 +118,7 @@ pub fn measure_tiers(
     let mut rows = Vec::new();
     for &scheme in schemes {
         for variant in TierVariant::all() {
-            let config = variant.device(scheme, seed)?;
-            let mut pool = AppPool::with_config(config, &fig13_apps())?;
+            let mut pool = AppPool::with_config(variant.device(scheme, seed), &fig13_apps())?;
             let mut samples = Vec::new();
             let mut decompress = Vec::new();
             for app in tier_apps() {

@@ -42,7 +42,7 @@ pub mod probe;
 pub mod process;
 pub mod telemetry;
 
-pub use config::{DeviceConfig, DeviceConfigBuilder, ZramFront};
+pub use config::{DeviceConfig, ZramFront};
 pub use device::{Device, DeviceTrace, KillRecord, TraceSample, TraceSource};
 pub use error::FleetError;
 pub use fleet_kernel::{KillPolicy, ReclaimPolicy, SwamParams};
@@ -66,7 +66,7 @@ pub use telemetry::{
 /// reference LRU model) is crate plumbing and may change without notice;
 /// such items are marked `#[doc(hidden)]` at their definition sites.
 pub mod prelude {
-    pub use crate::config::{DeviceConfig, DeviceConfigBuilder, ZramFront};
+    pub use crate::config::{DeviceConfig, ZramFront};
     pub use crate::device::{Device, DeviceTrace, KillRecord};
     pub use crate::error::FleetError;
     pub use crate::experiment::harness::{

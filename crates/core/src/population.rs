@@ -39,7 +39,9 @@ use crate::telemetry::{
     ClassAttribution, LaunchAttribution, LaunchSpanSample, Outlier, OutlierCandidate, OutlierPool,
     SloMetric, SloReport, SloSpec, SloVerdict, SloWindowPoint, OUTLIER_POOL,
 };
-use fleet_kernel::{FaultConfig, IntegrityConfig, KillPolicy, ReclaimPolicy};
+use fleet_kernel::{
+    FaultConfig, IntegrityConfig, KillPolicy, ReclaimPolicy, SwapConfig, PAGE_SIZE,
+};
 use fleet_metrics::Moments;
 use fleet_obs::LogHistogram;
 use fleet_sim::SimRng;
@@ -338,8 +340,13 @@ impl PopulationSpec {
                     class.name
                 ));
             }
-            if class.zram_chance > 0.0 && class.zram_ratio.lo <= 1.0 {
-                return Err(format!("class {}: zram ratio must exceed 1.0", class.name));
+            if class.zram_chance > 0.0 {
+                // Sampled ratios lie between the bounds, so valid bounds make
+                // every sampled zram front valid.
+                for ratio in [class.zram_ratio.lo, class.zram_ratio.hi] {
+                    SwapConfig::try_zram(PAGE_SIZE, ratio)
+                        .map_err(|e| format!("class {}: {e}", class.name))?;
+                }
             }
         }
         for persona in &self.personas {
@@ -472,19 +479,19 @@ pub fn sample_device(spec: &PopulationSpec, index: u32) -> Result<DevicePlan, Fl
     // Cohort-wide deployment knobs: applied, never sampled, so turning
     // Swam on leaves every RNG draw (and thus the sampled hardware and
     // day script) identical to the Reactive cohort.
-    let mut builder = DeviceConfig::builder(scheme)
-        .dram_mib(dram_mib)
-        .swap_mib(swap_mib)
-        .swappiness(swappiness)
-        .reclaim_policy(spec.reclaim_policy)
-        .kill_policy(spec.kill_policy)
-        .fault(spec.fault)
-        .integrity(spec.integrity)
-        .seed(seed);
-    if let Some(front) = zram_front {
-        builder = builder.zram_front(front.mib, front.compression_ratio);
-    }
-    let config = builder.build()?;
+    let config = DeviceConfig {
+        dram_mib,
+        swap_mib,
+        swappiness,
+        zram_front,
+        reclaim_policy: spec.reclaim_policy,
+        kill_policy: spec.kill_policy,
+        fault: spec.fault,
+        integrity: spec.integrity,
+        seed,
+        ..DeviceConfig::pixel3(scheme)
+    };
+    config.validate().map_err(FleetError::InvalidConfig)?;
 
     let k = persona.working_set.sample(&mut rng, 1) as usize;
     let apps = if k == persona.apps.len() {
@@ -1191,6 +1198,12 @@ mod tests {
         let mut spec = PopulationSpec::default_mix(7, 10);
         spec.personas[0].apps[0] = "NotAnApp".into();
         assert!(spec.validate().is_err());
+
+        for zram_ratio in [RangeF64 { lo: 1.0, hi: 2.0 }, RangeF64 { lo: 2.0, hi: f64::NAN }] {
+            let mut spec = PopulationSpec::default_mix(7, 10);
+            spec.classes[0].zram_ratio = zram_ratio;
+            assert!(spec.validate().is_err(), "zram ratios must all exceed 1.0: {zram_ratio:?}");
+        }
 
         let mut spec = PopulationSpec::default_mix(7, 10);
         spec.personas[0].working_set =

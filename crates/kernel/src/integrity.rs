@@ -29,8 +29,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Knobs for the integrity layer. Constructed via the `DeviceConfig`
-/// builder's `integrity(...)` setter in the core crate, or directly.
+/// Knobs for the integrity layer; the core crate's `DeviceConfig` carries
+/// one in its `integrity` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IntegrityConfig {
     /// Master switch. Off (the default) skips every checksum, draw and

@@ -1606,22 +1606,14 @@ impl MemoryManager {
         (stall, decompress)
     }
 
-    /// Finds a free frame, evicting the coldest page if necessary.
+    /// Finds a free frame, evicting the coldest pages if necessary.
+    ///
+    /// An eviction may not net a frame: a zram store charges a fraction of
+    /// a frame per compressed page, and a full raw frame for an
+    /// incompressible one. On a flash-only stack one eviction always frees
+    /// a frame.
     fn take_frame(&mut self) -> Result<(), MmError> {
-        if self.free_frames() > 0 {
-            return Ok(());
-        }
-        self.evict_one()?;
-        // An eviction may not net a frame: a zram store of an
-        // incompressible page (armed fault plan) consumes a full raw frame,
-        // and any zram tier (front or back) charges a fraction of a frame
-        // per compressed page. Keep evicting until a frame is actually
-        // free. Quiet flash-only devices never take this loop (their
-        // frames_consumed is always zero — single-eviction legacy
-        // behaviour, bit-identical golden traces).
-        while (self.swap.has_front() || self.swap.frames_consumed() > 0 || self.swap.fault_active())
-            && self.free_frames() == 0
-        {
+        while self.free_frames() == 0 {
             self.evict_one()?;
         }
         Ok(())

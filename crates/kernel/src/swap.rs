@@ -57,22 +57,25 @@ impl Default for SwapConfig {
 }
 
 impl SwapConfig {
-    /// A zram device: `capacity_bytes` of logical space at LZ4-class speed,
-    /// consuming DRAM at `1/compression_ratio` per stored page.
+    /// A zram device: `capacity_bytes` of logical space at LZ4-class speed
+    /// (1.2 GB/s read, 0.8 GB/s write, 4 µs per operation), consuming DRAM
+    /// at `1/compression_ratio` per stored page.
     ///
     /// # Errors
     ///
-    /// Returns a message when `compression_ratio` is not greater than 1
-    /// (zram below 1:1 compression is pointless) or the config is otherwise
-    /// invalid.
+    /// Returns the first [`SwapConfig::validate`] failure: a compression
+    /// ratio not above 1 (zram below 1:1 compression is pointless) or zero
+    /// capacity.
     pub fn try_zram(capacity_bytes: u64, compression_ratio: f64) -> Result<Self, String> {
-        SwapConfig::builder().capacity_bytes(capacity_bytes).zram(compression_ratio).build()
-    }
-
-    /// Starts a builder with the flash defaults, consistent with
-    /// `DeviceConfig::builder()`.
-    pub fn builder() -> SwapConfigBuilder {
-        SwapConfigBuilder { config: SwapConfig::default() }
+        let config = SwapConfig {
+            capacity_bytes,
+            read_bw: 1.2e9,
+            write_bw: 0.8e9,
+            op_latency: SimDuration::from_micros(4),
+            medium: SwapMedium::Zram { compression_ratio },
+        };
+        config.validate()?;
+        Ok(config)
     }
 
     /// Checks the configuration is physically meaningful.
@@ -100,86 +103,6 @@ impl SwapConfig {
             return Err("swap capacity_bytes must be non-zero".to_string());
         }
         Ok(())
-    }
-}
-
-/// Builder for [`SwapConfig`], consistent with `DeviceConfig::builder()`:
-/// starts from the flash defaults, validates on [`SwapConfigBuilder::build`]
-/// instead of panicking.
-///
-/// # Examples
-///
-/// ```
-/// use fleet_kernel::SwapConfig;
-///
-/// let zram = SwapConfig::builder()
-///     .capacity_bytes(512 * 1024 * 1024)
-///     .zram(2.8)
-///     .build()
-///     .expect("valid zram tier");
-/// assert!(SwapConfig::builder().zram(0.9).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SwapConfigBuilder {
-    config: SwapConfig,
-}
-
-impl SwapConfigBuilder {
-    /// Device capacity in bytes.
-    pub fn capacity_bytes(mut self, bytes: u64) -> Self {
-        self.config.capacity_bytes = bytes;
-        self
-    }
-
-    /// Sequential read bandwidth in bytes/second.
-    pub fn read_bw(mut self, bw: f64) -> Self {
-        self.config.read_bw = bw;
-        self
-    }
-
-    /// Write bandwidth in bytes/second.
-    pub fn write_bw(mut self, bw: f64) -> Self {
-        self.config.write_bw = bw;
-        self
-    }
-
-    /// Fixed per-operation latency.
-    pub fn op_latency(mut self, latency: SimDuration) -> Self {
-        self.config.op_latency = latency;
-        self
-    }
-
-    /// Backs the space with flash (the default).
-    pub fn flash(mut self) -> Self {
-        self.config.medium = SwapMedium::Flash;
-        self
-    }
-
-    /// Backs the space with compressed RAM at the given ratio, switching
-    /// the speed constants to LZ4-class defaults (override with the
-    /// bandwidth/latency setters afterwards if needed).
-    pub fn zram(mut self, compression_ratio: f64) -> Self {
-        self.config.medium = SwapMedium::Zram { compression_ratio };
-        self.config.read_bw = 1.2e9;
-        self.config.write_bw = 0.8e9;
-        self.config.op_latency = SimDuration::from_micros(4);
-        self
-    }
-
-    /// Sets the backing medium directly.
-    pub fn medium(mut self, medium: SwapMedium) -> Self {
-        self.config.medium = medium;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SwapConfig::validate`] failure.
-    pub fn build(self) -> Result<SwapConfig, String> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -595,21 +518,16 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_instead_of_panicking() {
-        let cfg = SwapConfig::builder()
-            .capacity_bytes(8 * PAGE_SIZE)
-            .zram(2.0)
-            .build()
-            .expect("valid zram config");
+    fn validate_rejects_instead_of_panicking() {
+        let cfg = SwapConfig::try_zram(8 * PAGE_SIZE, 2.0).expect("valid zram config");
         assert_eq!(cfg.capacity_bytes, 8 * PAGE_SIZE);
         assert_eq!(cfg.medium, SwapMedium::Zram { compression_ratio: 2.0 });
         assert_eq!(cfg.op_latency, SimDuration::from_micros(4));
-        assert!(SwapConfig::builder().capacity_bytes(0).build().is_err());
-        assert!(SwapConfig::builder().read_bw(0.0).build().is_err());
-        assert!(SwapConfig::builder().write_bw(-1.0).build().is_err());
+        assert!(SwapConfig { capacity_bytes: 0, ..SwapConfig::default() }.validate().is_err());
+        assert!(SwapConfig { read_bw: 0.0, ..SwapConfig::default() }.validate().is_err());
+        assert!(SwapConfig { write_bw: -1.0, ..SwapConfig::default() }.validate().is_err());
         // Defaults alone are valid flash.
-        let flash = SwapConfig::builder().build().unwrap();
-        assert_eq!(flash, SwapConfig::default());
+        assert!(SwapConfig::default().validate().is_ok());
     }
 
     #[test]

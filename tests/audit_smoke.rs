@@ -101,11 +101,11 @@ fn run_faulty_scenario(scheme: SchemeKind, seed: u64, intensity: f64) -> (u64, u
     use fleet_kernel::FaultConfig;
     let pipeline = shared::<AuditPipeline>();
     let _guard = install(pipeline.clone());
-    let config = fleet::DeviceConfig::builder(scheme)
-        .seed(seed)
-        .fault(FaultConfig::flaky_flash(intensity))
-        .build()
-        .unwrap();
+    let config = fleet::DeviceConfig {
+        fault: FaultConfig::flaky_flash(intensity),
+        seed,
+        ..fleet::DeviceConfig::pixel3(scheme)
+    };
     let mut dev = Device::try_new(config).unwrap();
     let mut script = Script(seed ^ 0xFA17);
     for _ in 0..30 {

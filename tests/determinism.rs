@@ -57,11 +57,11 @@ fn different_seeds_diverge() -> Result<(), FleetError> {
 /// (SIGBUS mid-launch) and the fingerprint additionally pins the
 /// degradation counters.
 fn faulty_fingerprint(scheme: SchemeKind, seed: u64, intensity: f64) -> String {
-    let config = DeviceConfig::builder(scheme)
-        .seed(seed)
-        .fault(FaultConfig::flaky_flash(intensity))
-        .build()
-        .unwrap();
+    let config = DeviceConfig {
+        fault: FaultConfig::flaky_flash(intensity),
+        seed,
+        ..DeviceConfig::pixel3(scheme)
+    };
     let mut dev = Device::try_new(config).unwrap();
     let (a, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
     dev.run(8);
@@ -107,15 +107,12 @@ fn armed_fault_plans_are_deterministic_and_never_panic() {
 fn quiet_fault_plan_is_bit_identical_to_no_plan() -> Result<(), FleetError> {
     // FaultConfig::default() must not change a single observable byte —
     // the property the golden-trace gate rests on.
-    let quiet = {
-        let config = DeviceConfig::builder(SchemeKind::Fleet)
-            .seed(42)
-            .fault(FaultConfig::default())
-            .build()
-            .unwrap();
-        assert!(config.fault.is_quiet());
-        config
+    let quiet = DeviceConfig {
+        fault: FaultConfig::default(),
+        seed: 42,
+        ..DeviceConfig::pixel3(SchemeKind::Fleet)
     };
+    assert!(quiet.fault.is_quiet());
     let mut dev = Device::try_new(quiet)?;
     let (a, _) = dev.launch_cold(&profile_by_name("Twitter").unwrap());
     dev.run(10);

@@ -170,11 +170,12 @@ fn swam_daemon_emits_proactive_reclaim_spans() -> Result<(), fleet::FleetError> 
     let pages = {
         let _guard = install(pipeline.clone());
         let swam = ReclaimPolicy::Swam(SwamParams { idle_epochs: 1, ..SwamParams::default() });
-        let config = DeviceConfig::builder(SchemeKind::Fleet)
-            .seed(9)
-            .reclaim_policy(swam)
-            .kill_policy(KillPolicy::WssWeighted)
-            .build()?;
+        let config = DeviceConfig {
+            reclaim_policy: swam,
+            kill_policy: KillPolicy::WssWeighted,
+            seed: 9,
+            ..DeviceConfig::pixel3(SchemeKind::Fleet)
+        };
         let mut dev = Device::try_new(config)?;
         for name in pool_apps() {
             dev.launch_cold(&profile_by_name(&name).unwrap());

@@ -90,14 +90,15 @@ fn drive_and_fingerprint(dev: &mut Device, script_seed: u64) -> String {
 /// Builds a device for `scheme`, optionally with an armed fault plan and
 /// optionally spelling out the legacy policy pair explicitly.
 fn build_device(scheme: SchemeKind, seed: u64, fault: Option<f64>, explicit: bool) -> Device {
-    let mut b = DeviceConfig::builder(scheme).seed(seed);
+    let mut config = DeviceConfig { seed, ..DeviceConfig::pixel3(scheme) };
     if let Some(intensity) = fault {
-        b = b.fault(FaultConfig::flaky_flash(intensity));
+        config.fault = FaultConfig::flaky_flash(intensity);
     }
     if explicit {
-        b = b.reclaim_policy(ReclaimPolicy::Reactive).kill_policy(KillPolicy::ColdestFirst);
+        config.reclaim_policy = ReclaimPolicy::Reactive;
+        config.kill_policy = KillPolicy::ColdestFirst;
     }
-    Device::try_new(b.build().unwrap()).unwrap()
+    Device::try_new(config).unwrap()
 }
 
 mod invisibility {
@@ -160,14 +161,16 @@ mod swam_audit {
         // An aggressive parameterisation (single idle epoch) so the
         // proactive daemon actually fires within a 30-op script.
         let swam = ReclaimPolicy::Swam(SwamParams { idle_epochs: 1, ..SwamParams::default() });
-        let mut b = DeviceConfig::builder(scheme)
-            .seed(seed)
-            .reclaim_policy(swam)
-            .kill_policy(KillPolicy::WssWeighted);
+        let mut config = DeviceConfig {
+            reclaim_policy: swam,
+            kill_policy: KillPolicy::WssWeighted,
+            seed,
+            ..DeviceConfig::pixel3(scheme)
+        };
         if let Some(intensity) = fault {
-            b = b.fault(FaultConfig::flaky_flash(intensity));
+            config.fault = FaultConfig::flaky_flash(intensity);
         }
-        let mut dev = Device::try_new(b.build().unwrap()).unwrap();
+        let mut dev = Device::try_new(config).unwrap();
         drive_and_fingerprint(&mut dev, seed ^ 0x5A7A);
         drop(dev);
         let pipe = pipeline.lock().unwrap();
@@ -197,11 +200,12 @@ mod swam_audit {
         let pipeline = shared::<AuditPipeline>();
         let _guard = install(pipeline.clone());
         let swam = ReclaimPolicy::Swam(SwamParams { idle_epochs: 1, ..SwamParams::default() });
-        let config = DeviceConfig::builder(SchemeKind::Fleet)
-            .seed(9)
-            .reclaim_policy(swam)
-            .kill_policy(KillPolicy::WssWeighted)
-            .build()?;
+        let config = DeviceConfig {
+            reclaim_policy: swam,
+            kill_policy: KillPolicy::WssWeighted,
+            seed: 9,
+            ..DeviceConfig::pixel3(SchemeKind::Fleet)
+        };
         let mut dev = Device::try_new(config)?;
         for name in APPS {
             dev.launch_cold(&profile_by_name(name).unwrap());
