@@ -123,8 +123,8 @@ fn parse_args() -> Opts {
 fn print_registry() {
     let mut t = Table::new(["Id", "Aliases", "Title"]);
     for exp in harness::REGISTRY {
-        t.row([exp.id().to_string(), exp.aliases().join(", "), exp.title().to_string()]);
-        t.row([String::new(), String::new(), format!("  {}", exp.description())]);
+        t.row([exp.id.to_string(), exp.aliases.join(", "), exp.title.to_string()]);
+        t.row([String::new(), String::new(), format!("  {}", exp.description)]);
     }
     print!("{t}");
 }
@@ -134,37 +134,31 @@ fn print_registry() {
 /// pipeline), writing a validated `<id>.trace.json` and `<id>.metrics.json`
 /// per experiment into `dir`.
 fn run_traced(
-    selected: &[&'static dyn harness::Experiment],
+    selected: &[&'static harness::Experiment],
     opts: &Opts,
     dir: &std::path::Path,
 ) -> Vec<harness::RunReport> {
     use std::time::Instant;
     let mut reports = Vec::new();
-    for exp in selected {
+    for &exp in selected {
         let pipelines = fleet::probe::Pipelines::default();
+        let ctx = exp.ctx(opts.seed, opts.quick, opts.drilldown.as_deref());
         let start = Instant::now();
-        let result = pipelines.record(|| {
-            let ctx = harness::ExperimentCtx {
-                seed: harness::derive_seed(opts.seed, exp.id()),
-                quick: opts.quick,
-                drilldown: opts.drilldown.as_ref().map(|d| d.join(exp.id())),
-            };
-            exp.run(&ctx)
-        });
+        let result = pipelines.record(|| (exp.run)(&ctx));
         let elapsed = start.elapsed();
-        eprintln!("done {:<18} ({:.1}s, traced)", exp.id(), elapsed.as_secs_f64());
+        eprintln!("done {:<18} ({:.1}s, traced)", exp.id, elapsed.as_secs_f64());
         let result = result.and_then(|output| {
-            let summary = pipelines.write_obs(dir, exp.id())?;
+            let summary = pipelines.write_obs(dir, exp.id)?;
             println!(
                 "[traced {} — {} spans on {} tracks, {}]",
-                exp.id(),
+                exp.id,
                 summary.spans,
                 summary.tracks,
-                dir.join(format!("{}.trace.json", exp.id())).display()
+                dir.join(format!("{}.trace.json", exp.id)).display()
             );
             Ok(output)
         });
-        reports.push(harness::RunReport { id: exp.id(), title: exp.title(), result, elapsed });
+        reports.push(harness::RunReport { experiment: exp, result, elapsed });
     }
     reports
 }
@@ -234,7 +228,7 @@ fn main() {
                 }
             }
             Err(e) => {
-                eprintln!("{} failed: {e}", report.id);
+                eprintln!("{} failed: {e}", report.experiment.id);
                 failed = true;
             }
         }

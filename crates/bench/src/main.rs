@@ -50,9 +50,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
+use fleet::experiment::caching::FIG11;
 use fleet::experiment::fleet_telemetry::demo_slos;
-use fleet::experiment::harness::{self, ExperimentCtx};
-use fleet::experiment::launch_basics::fig2_configured;
+use fleet::experiment::harness::Experiment;
+use fleet::experiment::launch_basics::{fig2_configured, FIG2};
+use fleet::experiment::lifetimes::FIG5;
 use fleet::population::{run_population, PopulationSpec};
 use fleet::{ReclaimPolicy, SwamParams};
 use fleet_gc::{Collector, FullCopyingGc, GcCostModel, NoTouch};
@@ -377,11 +379,10 @@ fn bench_heap(objects: u64) -> Heap {
 
 /// A registry experiment as a row, run on this thread under the seed the
 /// harness derives for it.
-fn experiment(id: &str, quick: bool) -> impl FnMut() {
-    let exp = harness::select(&[id.to_string()]).expect("registry id")[0];
-    let ctx = ExperimentCtx { seed: harness::derive_seed(SEED, id), quick, drilldown: None };
+fn experiment(exp: Experiment, quick: bool) -> impl FnMut() {
+    let ctx = exp.ctx(SEED, quick, None);
     move || {
-        exp.run(&ctx).expect("experiment runs");
+        (exp.run)(&ctx).expect("experiment runs");
     }
 }
 
@@ -400,11 +401,10 @@ fn run(quick: bool) -> Report {
 
     // The fig2 experiment's own seed and launch count, so `figures.fig2_ms`
     // is the base of the three fig2 cost checks.
-    let fig2_seed = harness::derive_seed(SEED, "fig2");
-    let fig2_launches =
-        ExperimentCtx { seed: fig2_seed, quick, drilldown: None }.launches().min(10);
+    let fig2_ctx = FIG2.ctx(SEED, quick, None);
     let fig2 = |policy, integrity| {
-        fig2_configured(fig2_seed, fig2_launches, policy, integrity).expect("fig2 runs")
+        fig2_configured(fig2_ctx.seed, fig2_ctx.launches().min(10), policy, integrity)
+            .expect("fig2 runs")
     };
     // Tracking on, proactive reclaim never: the daemon grants no quota.
     let tracked =
@@ -444,7 +444,7 @@ fn run(quick: bool) -> Report {
                 FullCopyingGc::new(GcCostModel::default())
                     .collect(&mut bench_heap(gc_objects), &mut NoTouch)
             }),
-            Row::ms(experiment("fig2", quick)),
+            Row::ms(experiment(FIG2, quick)),
             Row::ms(|| {
                 // A fresh pipeline per call: steady-state recording cost, not
                 // the cost of appending to an ever-growing span vector.
@@ -454,8 +454,8 @@ fn run(quick: bool) -> Report {
             }),
             Row::ms(|| fig2(tracked, IntegrityConfig::default())),
             Row::ms(|| fig2(ReclaimPolicy::Reactive, IntegrityConfig::checked())),
-            Row::ms(experiment("fig5", quick)),
-            Row::ms(experiment("fig11", quick)),
+            Row::ms(experiment(FIG5, quick)),
+            Row::ms(experiment(FIG11, quick)),
             Row::ms(|| run_cohort(&cohort, 1)),
             Row::ms(|| run_cohort(&cohort, 2)),
             Row::ms(|| run_cohort(&slo_cohort, 2)),

@@ -47,10 +47,6 @@ pub struct DeviceConfig {
     pub system_reserve_mib: u32,
     /// Swap partition size in MiB (§6: 2048).
     pub swap_mib: u32,
-    /// Swap read bandwidth at real scale, bytes/s (§3.2: 20.3 MB/s).
-    pub swap_read_bw: f64,
-    /// Swap write bandwidth at real scale, bytes/s.
-    pub swap_write_bw: f64,
     /// Fleet parameters (Table 2).
     pub fleet: FleetParams,
     /// Marvin's large-object threshold in bytes (§6: 1024).
@@ -123,7 +119,7 @@ impl DeviceConfig {
     ///
     /// let cfg = DeviceConfig {
     ///     dram_mib: 6144, // a 6 GB variant
-    ///     swap_read_bw: 40.0e6,
+    ///     swap_mib: 4096,
     ///     ..DeviceConfig::pixel3(SchemeKind::Fleet)
     /// };
     /// assert!(cfg.validate().is_ok());
@@ -136,8 +132,6 @@ impl DeviceConfig {
             dram_mib: 4096,
             system_reserve_mib: 2304,
             swap_mib: 2048,
-            swap_read_bw: 20.3e6,
-            swap_write_bw: 15.0e6,
             fleet: FleetParams::default(),
             marvin_threshold: 1024,
             heap_growth_foreground: 2.0,
@@ -176,6 +170,7 @@ impl DeviceConfig {
     /// The kernel memory-manager configuration implied by this device, or
     /// the first constraint the device violates.
     ///
+    /// A flash partition runs at [`SwapConfig::default`]'s §3.2 speeds.
     /// Bandwidths are divided by `scale` so that a *scaled* page population
     /// produces *real-scale* stall times. Every zram tier, back or front, is
     /// built by [`SwapConfig::try_zram`], which owns the zram rules.
@@ -212,13 +207,9 @@ impl DeviceConfig {
             ..tier
         };
         let swap = match self.swap_medium {
-            SwapMedium::Flash => SwapConfig {
-                capacity_bytes: self.swap_bytes(),
-                read_bw: self.swap_read_bw,
-                write_bw: self.swap_write_bw,
-                op_latency: SimDuration::from_micros(80),
-                medium: SwapMedium::Flash,
-            },
+            SwapMedium::Flash => {
+                SwapConfig { capacity_bytes: self.swap_bytes(), ..SwapConfig::default() }
+            }
             SwapMedium::Zram { compression_ratio } => {
                 SwapConfig::try_zram(self.swap_bytes(), compression_ratio)
                     .map_err(|e| format!("zram swap medium: {e}"))?
@@ -302,8 +293,6 @@ mod tests {
     fn struct_updates_override_and_validate() {
         let cfg = DeviceConfig {
             dram_mib: 8192,
-            swap_read_bw: 40.0e6,
-            swap_write_bw: 30.0e6,
             swap_medium: SwapMedium::Zram { compression_ratio: 2.5 },
             seed: 42,
             ..fleet()

@@ -161,40 +161,33 @@ pub fn ablation_table(rows: &[AblationRow]) -> Table {
 
 /// Experiment `ablation`: mechanism knock-outs plus the ASAP and zram
 /// comparisons.
-pub struct Ablation;
+pub const ABLATION: Experiment = Experiment {
+    id: "ablation",
+    title: "Extensions — ablations, ASAP prefetching, zram",
+    description: "Fleet feature ablations plus ASAP prefetch and zram swap variants",
+    module: "ablation",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Ablation {
-    fn id(&self) -> &'static str {
-        "ablation"
-    }
-    fn title(&self) -> &'static str {
-        "Extensions — ablations, ASAP prefetching, zram"
-    }
-    fn description(&self) -> &'static str {
-        "Fleet feature ablations plus ASAP prefetch and zram swap variants"
-    }
-    fn module(&self) -> &'static str {
-        "ablation"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let (l, cap) = if ctx.quick { (4, 14) } else { (8, 22) };
-        let mut out = ExperimentOutput::new();
-        out.section("Extensions — Fleet mechanism ablations");
-        let variants = fleet_variants(ctx.seed, l, cap)?;
-        out.export("ablation_fleet", "mechanism knock-outs", &variants);
-        out.table(ablation_table(&variants));
-        out.text("BGC carries the caching capacity; COLD_RUNTIME buys headroom; HOT_RUNTIME is");
-        out.text("precautionary at this pressure; the depth parameter D trades launch coverage");
-        out.text("for launch-region footprint (see Figure 6b).");
-        out.section("Extensions — ASAP-style prefetching vs Fleet (§8 related work)");
-        out.table(ablation_table(&asap_comparison(ctx.seed, l, cap)?));
-        out.text("paper's point: prefetching speeds launches but does not fix the GC-swap");
-        out.text("conflict, so it cannot recover Fleet's caching capacity.");
-        out.section("Extensions — flash vs zram (compressed-RAM) swap");
-        out.table(ablation_table(&zram_comparison(ctx.seed, l, cap)?));
-        out.text("zram removes the 20.3 MB/s flash penalty but eats DRAM for its store.");
-        Ok(out)
-    }
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let (l, cap) = if ctx.quick { (4, 14) } else { (8, 22) };
+    let mut out = ExperimentOutput::new();
+    out.section("Extensions — Fleet mechanism ablations");
+    let variants = fleet_variants(ctx.seed, l, cap)?;
+    out.export("ablation_fleet", "mechanism knock-outs", &variants);
+    out.table(ablation_table(&variants));
+    out.text("BGC carries the caching capacity; COLD_RUNTIME buys headroom; HOT_RUNTIME is");
+    out.text("precautionary at this pressure; the depth parameter D trades launch coverage");
+    out.text("for launch-region footprint (see Figure 6b).");
+    out.section("Extensions — ASAP-style prefetching vs Fleet (§8 related work)");
+    out.table(ablation_table(&asap_comparison(ctx.seed, l, cap)?));
+    out.text("paper's point: prefetching speeds launches but does not fix the GC-swap");
+    out.text("conflict, so it cannot recover Fleet's caching capacity.");
+    out.section("Extensions — flash vs zram (compressed-RAM) swap");
+    out.table(ablation_table(&zram_comparison(ctx.seed, l, cap)?));
+    out.text("zram removes the 20.3 MB/s flash penalty but eats DRAM for its store.");
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -97,47 +97,36 @@ pub fn gc_samples_in_window(result: &AccessTraceResult, from: f64, to: f64) -> u
 }
 
 /// Experiment `fig4`.
-pub struct Fig4;
+pub const FIG4: Experiment = Experiment {
+    id: "fig4",
+    title: "Figure 4 — accessed objects over time (Amazon shop, Android)",
+    description: "Object accesses sampled over time around a backgrounding event",
+    module: "access_trace",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Fig4 {
-    fn id(&self) -> &'static str {
-        "fig4"
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let result = fig4(ctx.seed)?;
+    let mut out = ExperimentOutput::new();
+    out.section(FIG4.title);
+    out.export("fig4", "GC spike ≈37 s, launch re-accesses ≈53 s", &result);
+    out.text(format!("markers: {:?}", result.markers));
+    let mut t = Table::new(["Window (s)", "Mutator samples", "GC samples", "Launch samples"]);
+    let count = |from: f64, to: f64, src: crate::TraceSource| {
+        result.samples.iter().filter(|s| s.secs >= from && s.secs < to && s.source == src).count()
+    };
+    for w in [(0.0, 20.0), (20.0, 35.0), (35.0, 40.0), (40.0, 52.0), (52.0, 62.0)] {
+        t.row([
+            format!("{:.0}–{:.0}", w.0, w.1),
+            count(w.0, w.1, crate::TraceSource::Mutator).to_string(),
+            count(w.0, w.1, crate::TraceSource::Gc).to_string(),
+            count(w.0, w.1, crate::TraceSource::Launch).to_string(),
+        ]);
     }
-    fn title(&self) -> &'static str {
-        "Figure 4 — accessed objects over time (Amazon shop, Android)"
-    }
-    fn description(&self) -> &'static str {
-        "Object accesses sampled over time around a backgrounding event"
-    }
-    fn module(&self) -> &'static str {
-        "access_trace"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let result = fig4(ctx.seed)?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        out.export("fig4", "GC spike ≈37 s, launch re-accesses ≈53 s", &result);
-        out.text(format!("markers: {:?}", result.markers));
-        let mut t = Table::new(["Window (s)", "Mutator samples", "GC samples", "Launch samples"]);
-        let count = |from: f64, to: f64, src: crate::TraceSource| {
-            result
-                .samples
-                .iter()
-                .filter(|s| s.secs >= from && s.secs < to && s.source == src)
-                .count()
-        };
-        for w in [(0.0, 20.0), (20.0, 35.0), (35.0, 40.0), (40.0, 52.0), (52.0, 62.0)] {
-            t.row([
-                format!("{:.0}–{:.0}", w.0, w.1),
-                count(w.0, w.1, crate::TraceSource::Mutator).to_string(),
-                count(w.0, w.1, crate::TraceSource::Gc).to_string(),
-                count(w.0, w.1, crate::TraceSource::Launch).to_string(),
-            ]);
-        }
-        out.table(t);
-        out.text("paper shape: quiet background, GC access spike ≈37 s, launch re-accesses ≈53 s");
-        Ok(out)
-    }
+    out.table(t);
+    out.text("paper shape: quiet background, GC access spike ≈37 s, launch re-accesses ≈53 s");
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -99,63 +99,56 @@ pub fn attribution_apps() -> Vec<String> {
 }
 
 /// Experiment `launch_attribution`.
-pub struct LaunchAttribution;
+pub const LAUNCH_ATTRIBUTION: Experiment = Experiment {
+    id: "launch_attribution",
+    title: "DESIGN.md §10 — hot-launch latency attribution (fault-in / GC / CPU)",
+    description: "Decomposes hot-launch latency into fault-in, GC, and CPU render time",
+    module: "attribution",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for LaunchAttribution {
-    fn id(&self) -> &'static str {
-        "launch_attribution"
-    }
-    fn title(&self) -> &'static str {
-        "DESIGN.md §10 — hot-launch latency attribution (fault-in / GC / CPU)"
-    }
-    fn description(&self) -> &'static str {
-        "Decomposes hot-launch latency into fault-in, GC, and CPU render time"
-    }
-    fn module(&self) -> &'static str {
-        "attribution"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let launches = if ctx.quick { 3 } else { 8 };
-        let schemes = [SchemeKind::Android, SchemeKind::Fleet];
-        let rows = attribute_launches(ctx.seed, &schemes, &attribution_apps(), launches)?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t = Table::new([
-            "Scheme",
-            "App",
-            "Launches",
-            "Total (ms)",
-            "Fault-in (ms)",
-            "GC (ms)",
-            "CPU (ms)",
-            "Fault-in %",
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let launches = if ctx.quick { 3 } else { 8 };
+    let schemes = [SchemeKind::Android, SchemeKind::Fleet];
+    let rows = attribute_launches(ctx.seed, &schemes, &attribution_apps(), launches)?;
+    let mut out = ExperimentOutput::new();
+    out.section(LAUNCH_ATTRIBUTION.title);
+    let mut t = Table::new([
+        "Scheme",
+        "App",
+        "Launches",
+        "Total (ms)",
+        "Fault-in (ms)",
+        "GC (ms)",
+        "CPU (ms)",
+        "Fault-in %",
+    ]);
+    for r in &rows {
+        let share = if r.total_ms > 0.0 { 100.0 * r.fault_in_ms / r.total_ms } else { 0.0 };
+        t.row([
+            r.scheme.clone(),
+            r.app.clone(),
+            r.launches.to_string(),
+            format!("{:.0}", r.total_ms),
+            format!("{:.0}", r.fault_in_ms),
+            format!("{:.1}", r.gc_ms),
+            format!("{:.0}", r.cpu_ms),
+            format!("{share:.0}"),
         ]);
-        for r in &rows {
-            let share = if r.total_ms > 0.0 { 100.0 * r.fault_in_ms / r.total_ms } else { 0.0 };
-            t.row([
-                r.scheme.clone(),
-                r.app.clone(),
-                r.launches.to_string(),
-                format!("{:.0}", r.total_ms),
-                format!("{:.0}", r.fault_in_ms),
-                format!("{:.1}", r.gc_ms),
-                format!("{:.0}", r.cpu_ms),
-                format!("{share:.0}"),
-            ]);
-        }
-        out.table(t);
-        out.text(
-            "components tile the end-to-end latency exactly; under `repro --trace` \
-             the same decomposition appears as launch_hot -> cpu / fault_in / \
-             gc_pause spans in the Perfetto trace",
-        );
-        out.export(
-            "launch_attribution",
-            "n/a (observability study; §7.2 attributes the gap to fault-in)",
-            &rows,
-        );
-        Ok(out)
     }
+    out.table(t);
+    out.text(
+        "components tile the end-to-end latency exactly; under `repro --trace` \
+         the same decomposition appears as launch_hot -> cpu / fault_in / \
+         gc_pause spans in the Perfetto trace",
+    );
+    out.export(
+        "launch_attribution",
+        "n/a (observability study; §7.2 attributes the gap to fault-in)",
+        &rows,
+    );
+    Ok(out)
 }
 
 #[cfg(test)]

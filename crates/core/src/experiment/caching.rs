@@ -152,54 +152,43 @@ pub fn capacity_table(curves: &[CapacityCurve]) -> Table {
 }
 
 /// Experiment `fig11`: the three capacity protocols (11a/11b/11c).
-pub struct Fig11;
+pub const FIG11: Experiment = Experiment {
+    id: "fig11",
+    title: "Figure 11 — app-caching capacity",
+    description: "How many apps each scheme keeps cached before the LMK steps in",
+    module: "caching",
+    aliases: &["fig11a", "fig11b", "fig11c"],
+    run,
+};
 
-impl Experiment for Fig11 {
-    fn id(&self) -> &'static str {
-        "fig11"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 11 — app-caching capacity"
-    }
-    fn description(&self) -> &'static str {
-        "How many apps each scheme keeps cached before the LMK steps in"
-    }
-    fn module(&self) -> &'static str {
-        "caching"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig11a", "fig11b", "fig11c"]
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let (max_apps, use_secs) = if ctx.quick { (20, 6) } else { (28, 30) };
-        let mut out = ExperimentOutput::new();
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let (max_apps, use_secs) = if ctx.quick { (20, 6) } else { (28, 30) };
+    let mut out = ExperimentOutput::new();
 
-        out.section("Figure 11a — caching capacity, large-object (2048 B) synthetic apps");
-        let curves = fig11a(ctx.seed, max_apps, use_secs)?;
-        out.export("fig11a", "Android ≈14, Marvin ≈18, Fleet ≈18", &curves);
-        out.table(capacity_table(&curves));
-        out.text("paper: Android max ≈14 (kills from 11), Marvin ≈18, Fleet ≈18");
+    out.section("Figure 11a — caching capacity, large-object (2048 B) synthetic apps");
+    let curves = fig11a(ctx.seed, max_apps, use_secs)?;
+    out.export("fig11a", "Android ≈14, Marvin ≈18, Fleet ≈18", &curves);
+    out.table(capacity_table(&curves));
+    out.text("paper: Android max ≈14 (kills from 11), Marvin ≈18, Fleet ≈18");
 
-        out.section("Figure 11b — caching capacity, small-object (512 B) synthetic apps");
-        let curves = fig11b(ctx.seed, max_apps, use_secs)?;
-        out.export("fig11b", "Marvin ≈9, Fleet ≈18 (2x)", &curves);
-        out.table(capacity_table(&curves));
-        out.text("paper: Marvin collapses to ≈9; Fleet stays ≈18 (2x)");
+    out.section("Figure 11b — caching capacity, small-object (512 B) synthetic apps");
+    let curves = fig11b(ctx.seed, max_apps, use_secs)?;
+    out.export("fig11b", "Marvin ≈9, Fleet ≈18 (2x)", &curves);
+    out.table(capacity_table(&curves));
+    out.text("paper: Marvin collapses to ≈9; Fleet stays ≈18 (2x)");
 
-        out.section("Figure 11c — caching capacity, commercial apps (round-robin)");
-        let results =
-            fig11c(ctx.seed, if ctx.quick { 1 } else { 2 }, if ctx.quick { 8 } else { 30 })?;
-        let mut t = Table::new(["Scheme", "Max cached", "Paper"]);
-        for r in &results {
-            t.row([
-                r.scheme.clone(),
-                r.max_cached.to_string(),
-                "Fleet 17 ≈ 1.21x Android-with-swap".to_string(),
-            ]);
-        }
-        out.table(t);
-        Ok(out)
+    out.section("Figure 11c — caching capacity, commercial apps (round-robin)");
+    let results = fig11c(ctx.seed, if ctx.quick { 1 } else { 2 }, if ctx.quick { 8 } else { 30 })?;
+    let mut t = Table::new(["Scheme", "Max cached", "Paper"]);
+    for r in &results {
+        t.row([
+            r.scheme.clone(),
+            r.max_cached.to_string(),
+            "Fleet 17 ≈ 1.21x Android-with-swap".to_string(),
+        ]);
     }
+    out.table(t);
+    Ok(out)
 }
 
 #[cfg(test)]

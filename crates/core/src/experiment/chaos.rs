@@ -211,104 +211,98 @@ pub fn chaos_cohorts(
 }
 
 /// Experiment `chaos`.
-pub struct Chaos;
+pub const CHAOS: Experiment = Experiment {
+    id: "chaos",
+    title: "DESIGN.md §14 — data-integrity ladder under injected silent corruption",
+    description:
+        "Detection, quarantine and tier retirement under silent corruption, device and cohort",
+    module: "chaos",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Chaos {
-    fn id(&self) -> &'static str {
-        "chaos"
-    }
-    fn title(&self) -> &'static str {
-        "DESIGN.md §14 — data-integrity ladder under injected silent corruption"
-    }
-    fn description(&self) -> &'static str {
-        "Detection, quarantine and tier retirement under silent corruption, device and cohort"
-    }
-    fn module(&self) -> &'static str {
-        "chaos"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let launches = if ctx.quick { 4 } else { 10 };
-        let cohort_devices = if ctx.quick { 6 } else { 16 };
-        let intensities = standard_intensities();
-        let device = chaos_devices(ctx.seed, &intensities, launches)?;
-        let cohort = chaos_cohorts(ctx.seed, &intensities, cohort_devices)?;
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let launches = if ctx.quick { 4 } else { 10 };
+    let cohort_devices = if ctx.quick { 6 } else { 16 };
+    let intensities = standard_intensities();
+    let device = chaos_devices(ctx.seed, &intensities, launches)?;
+    let cohort = chaos_cohorts(ctx.seed, &intensities, cohort_devices)?;
 
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t = Table::new([
-            "Scheme",
-            "Intensity",
-            "Hot launches",
-            "Failed",
-            "Median (ms)",
-            "p99 (ms)",
-            "Injected",
-            "Detected",
-            "Lost pages",
-            "SIGBUS",
-            "Quarantined",
-            "Retired",
-            "Degraded",
+    let mut out = ExperimentOutput::new();
+    out.section(CHAOS.title);
+    let mut t = Table::new([
+        "Scheme",
+        "Intensity",
+        "Hot launches",
+        "Failed",
+        "Median (ms)",
+        "p99 (ms)",
+        "Injected",
+        "Detected",
+        "Lost pages",
+        "SIGBUS",
+        "Quarantined",
+        "Retired",
+        "Degraded",
+    ]);
+    for r in &device {
+        t.row([
+            format!("{:?}", r.scheme),
+            format!("{:.2}", r.intensity),
+            r.launches.to_string(),
+            r.failed_launches.to_string(),
+            format!("{:.0}", r.median_hot_ms),
+            format!("{:.0}", r.p99_hot_ms),
+            r.corruptions_injected.to_string(),
+            r.corruptions_detected.to_string(),
+            r.pages_lost.to_string(),
+            r.sigbus_kills.to_string(),
+            r.slots_quarantined.to_string(),
+            r.tiers_retired.to_string(),
+            if r.degraded { "yes" } else { "no" }.to_string(),
         ]);
-        for r in &device {
-            t.row([
-                format!("{:?}", r.scheme),
-                format!("{:.2}", r.intensity),
-                r.launches.to_string(),
-                r.failed_launches.to_string(),
-                format!("{:.0}", r.median_hot_ms),
-                format!("{:.0}", r.p99_hot_ms),
-                r.corruptions_injected.to_string(),
-                r.corruptions_detected.to_string(),
-                r.pages_lost.to_string(),
-                r.sigbus_kills.to_string(),
-                r.slots_quarantined.to_string(),
-                r.tiers_retired.to_string(),
-                if r.degraded { "yes" } else { "no" }.to_string(),
-            ]);
-        }
-        out.table(t);
-        out.text(
-            "intensity 0 with checksums armed detects nothing (zero false \
-             positives); rising intensity climbs the ladder: SIGBUS recovery, \
-             slot quarantine, then runtime tier retirement into degraded mode",
-        );
-
-        out.section("Population cohort under cohort-wide silent corruption");
-        let mut t = Table::new([
-            "Intensity",
-            "Devices",
-            "Launches",
-            "Hot p50 (ms)",
-            "Hot p99 (ms)",
-            "LMK kills",
-            "SIGBUS",
-            "Detected",
-            "Quarantined",
-            "Retired",
-        ]);
-        for r in &cohort {
-            t.row([
-                format!("{:.2}", r.intensity),
-                r.devices.to_string(),
-                r.launches.to_string(),
-                format!("{:.0}", r.hot_p50_ms),
-                format!("{:.0}", r.hot_p99_ms),
-                r.lmk_kills.to_string(),
-                r.sigbus_kills.to_string(),
-                r.corruptions_detected.to_string(),
-                r.slots_quarantined.to_string(),
-                r.tiers_retired.to_string(),
-            ]);
-        }
-        out.table(t);
-        out.export(
-            "chaos",
-            "n/a (robustness study, not a paper figure)",
-            &ChaosExport { device, cohort },
-        );
-        Ok(out)
     }
+    out.table(t);
+    out.text(
+        "intensity 0 with checksums armed detects nothing (zero false \
+         positives); rising intensity climbs the ladder: SIGBUS recovery, \
+         slot quarantine, then runtime tier retirement into degraded mode",
+    );
+
+    out.section("Population cohort under cohort-wide silent corruption");
+    let mut t = Table::new([
+        "Intensity",
+        "Devices",
+        "Launches",
+        "Hot p50 (ms)",
+        "Hot p99 (ms)",
+        "LMK kills",
+        "SIGBUS",
+        "Detected",
+        "Quarantined",
+        "Retired",
+    ]);
+    for r in &cohort {
+        t.row([
+            format!("{:.2}", r.intensity),
+            r.devices.to_string(),
+            r.launches.to_string(),
+            format!("{:.0}", r.hot_p50_ms),
+            format!("{:.0}", r.hot_p99_ms),
+            r.lmk_kills.to_string(),
+            r.sigbus_kills.to_string(),
+            r.corruptions_detected.to_string(),
+            r.slots_quarantined.to_string(),
+            r.tiers_retired.to_string(),
+        ]);
+    }
+    out.table(t);
+    out.export(
+        "chaos",
+        "n/a (robustness study, not a paper figure)",
+        &ChaosExport { device, cohort },
+    );
+    Ok(out)
 }
 
 #[cfg(test)]

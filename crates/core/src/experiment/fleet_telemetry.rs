@@ -201,120 +201,108 @@ fn outlier_table(outliers: &[Outlier]) -> Table {
 }
 
 /// Experiment `fleet_telemetry`.
-pub struct FleetTelemetry;
+pub const FLEET_TELEMETRY: Experiment = Experiment {
+    id: "fleet_telemetry",
+    title: "Extension — fleet telemetry: attribution, SLO monitors, outlier drill-down",
+    description:
+        "Where hot-launch time goes per scheme/class, SLO burn-rate verdicts, top-K outliers",
+    module: "fleet_telemetry",
+    aliases: &["telemetry", "triage"],
+    run,
+};
 
-impl Experiment for FleetTelemetry {
-    fn id(&self) -> &'static str {
-        "fleet_telemetry"
-    }
-    fn title(&self) -> &'static str {
-        "Extension — fleet telemetry: attribution, SLO monitors, outlier drill-down"
-    }
-    fn description(&self) -> &'static str {
-        "Where hot-launch time goes per scheme/class, SLO burn-rate verdicts, top-K outliers"
-    }
-    fn module(&self) -> &'static str {
-        "fleet_telemetry"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["telemetry", "triage"]
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let devices = cohort_devices(ctx.quick);
-        let mut spec = PopulationSpec::default_mix(ctx.seed, devices);
-        spec.slos = demo_slos();
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let run = run_population(&spec, threads)?;
-        let agg = &run.aggregate;
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let devices = cohort_devices(ctx.quick);
+    let mut spec = PopulationSpec::default_mix(ctx.seed, devices);
+    spec.slos = demo_slos();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let run = run_population(&spec, threads)?;
+    let agg = &run.aggregate;
 
-        let overall = AttributionSummary::from("all", &agg.launch);
-        let schemes: Vec<AttributionSummary> = SchemeKind::ALL
-            .iter()
-            .zip(&agg.schemes)
-            .filter(|(_, row)| row.launch.launches() > 0)
-            .map(|(s, row)| AttributionSummary::from(&s.to_string(), &row.launch))
-            .collect();
-        let classes: Vec<AttributionSummary> = agg
-            .classes
-            .iter()
-            .map(|c| AttributionSummary::from(&c.class, &c.attribution))
-            .collect();
+    let overall = AttributionSummary::from("all", &agg.launch);
+    let schemes: Vec<AttributionSummary> = SchemeKind::ALL
+        .iter()
+        .zip(&agg.schemes)
+        .filter(|(_, row)| row.launch.launches() > 0)
+        .map(|(s, row)| AttributionSummary::from(&s.to_string(), &row.launch))
+        .collect();
+    let classes: Vec<AttributionSummary> =
+        agg.classes.iter().map(|c| AttributionSummary::from(&c.class, &c.attribution)).collect();
 
-        let outliers = agg.rank_outliers(drilldown_k(ctx.quick));
-        let drilled = match &ctx.drilldown {
-            Some(dir) => {
-                let records = drill_down(&spec, &outliers, dir)?;
-                if let Some(bad) = records.iter().find(|r| !r.matched) {
-                    return Err(FleetError::InvalidConfig(format!(
-                        "outlier {} replay diverged: cohort fingerprint {:016x}, replay {:016x}",
-                        bad.index, bad.cohort_fingerprint, bad.replayed_fingerprint
-                    )));
-                }
-                records
+    let outliers = agg.rank_outliers(drilldown_k(ctx.quick));
+    let drilled = match &ctx.drilldown {
+        Some(dir) => {
+            let records = drill_down(&spec, &outliers, dir)?;
+            if let Some(bad) = records.iter().find(|r| !r.matched) {
+                return Err(FleetError::InvalidConfig(format!(
+                    "outlier {} replay diverged: cohort fingerprint {:016x}, replay {:016x}",
+                    bad.index, bad.cohort_fingerprint, bad.replayed_fingerprint
+                )));
             }
-            None => Vec::new(),
-        };
-
-        let report = agg.slo_report();
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        out.text("Hot-launch latency attribution (who owns the milliseconds):".to_string());
-        let mut rows = vec![overall.clone()];
-        rows.extend(schemes.iter().cloned());
-        out.table(attribution_table(&rows));
-        out.text("Per device class:".to_string());
-        out.table(attribution_table(&classes));
-        out.text(format!(
-            "SLO monitors over burn-rate windows of {} run-slice(s) x {} devices:",
-            spec.slos.first().map_or(1, |s| s.window_slices),
-            agg.slice_len,
-        ));
-        out.table(slo_table(&agg.slo_verdicts));
-        out.text(format!(
-            "Top-{} outlier device-days by z-score (re-simulate any of them with \
-             `repro fleet_telemetry --drilldown DIR`):",
-            outliers.len()
-        ));
-        out.table(outlier_table(&outliers));
-        if !drilled.is_empty() {
-            out.text(format!(
-                "Drill-down: {} outlier device-day(s) re-simulated standalone; every \
-                 replayed fingerprint matched its in-cohort row ({} artifact files).",
-                drilled.len(),
-                drilled.iter().map(|r| r.files.len()).sum::<usize>(),
-            ));
+            records
         }
-        out.text(format!(
-            "{} device-days (seed {:#x}); {} of {} SLOs breached; cohort hash {:016x}",
-            agg.devices,
-            spec.seed,
-            report.verdicts.iter().filter(|v| !v.pass).count(),
-            report.verdicts.len(),
-            agg.cohort_hash,
-        ));
+        None => Vec::new(),
+    };
 
-        out.export(
-            "fleet_telemetry",
-            "n/a (extension; fleet triage telemetry, DESIGN.md \u{a7}15)",
-            &TelemetryExport {
-                seed: spec.seed,
-                devices,
-                overall,
-                schemes,
-                classes,
-                slo_verdicts: agg.slo_verdicts.clone(),
-                slo_pass: report.enforce_failures().is_empty(),
-                outliers,
-                drilldown: drilled,
-                aggregate: agg.clone(),
-            },
-        );
-        let failures = report.enforce_failures();
-        if !failures.is_empty() {
-            return Err(FleetError::SloBreached(failures.join(", ")));
-        }
-        Ok(out)
+    let report = agg.slo_report();
+    let mut out = ExperimentOutput::new();
+    out.section(FLEET_TELEMETRY.title);
+    out.text("Hot-launch latency attribution (who owns the milliseconds):".to_string());
+    let mut rows = vec![overall.clone()];
+    rows.extend(schemes.iter().cloned());
+    out.table(attribution_table(&rows));
+    out.text("Per device class:".to_string());
+    out.table(attribution_table(&classes));
+    out.text(format!(
+        "SLO monitors over burn-rate windows of {} run-slice(s) x {} devices:",
+        spec.slos.first().map_or(1, |s| s.window_slices),
+        agg.slice_len,
+    ));
+    out.table(slo_table(&agg.slo_verdicts));
+    out.text(format!(
+        "Top-{} outlier device-days by z-score (re-simulate any of them with \
+         `repro fleet_telemetry --drilldown DIR`):",
+        outliers.len()
+    ));
+    out.table(outlier_table(&outliers));
+    if !drilled.is_empty() {
+        out.text(format!(
+            "Drill-down: {} outlier device-day(s) re-simulated standalone; every \
+             replayed fingerprint matched its in-cohort row ({} artifact files).",
+            drilled.len(),
+            drilled.iter().map(|r| r.files.len()).sum::<usize>(),
+        ));
     }
+    out.text(format!(
+        "{} device-days (seed {:#x}); {} of {} SLOs breached; cohort hash {:016x}",
+        agg.devices,
+        spec.seed,
+        report.verdicts.iter().filter(|v| !v.pass).count(),
+        report.verdicts.len(),
+        agg.cohort_hash,
+    ));
+
+    out.export(
+        "fleet_telemetry",
+        "n/a (extension; fleet triage telemetry, DESIGN.md \u{a7}15)",
+        &TelemetryExport {
+            seed: spec.seed,
+            devices,
+            overall,
+            schemes,
+            classes,
+            slo_verdicts: agg.slo_verdicts.clone(),
+            slo_pass: report.enforce_failures().is_empty(),
+            outliers,
+            drilldown: drilled,
+            aggregate: agg.clone(),
+        },
+    );
+    let failures = report.enforce_failures();
+    if !failures.is_empty() {
+        return Err(FleetError::SloBreached(failures.join(", ")));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

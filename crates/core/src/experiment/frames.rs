@@ -76,48 +76,41 @@ pub fn scheme_means(rows: &[Fig14Row]) -> Vec<(String, f64, f64)> {
 }
 
 /// Experiment `fig14`.
-pub struct Fig14;
+pub const FIG14: Experiment = Experiment {
+    id: "fig14",
+    title: "Figure 14 — frame rendering: jank ratio and FPS",
+    description: "Jank ratio and FPS while swiping the foreground app under pressure",
+    module: "frames",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Fig14 {
-    fn id(&self) -> &'static str {
-        "fig14"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 14 — frame rendering: jank ratio and FPS"
-    }
-    fn description(&self) -> &'static str {
-        "Jank ratio and FPS while swiping the foreground app under pressure"
-    }
-    fn module(&self) -> &'static str {
-        "frames"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let secs = if ctx.quick { 20 } else { 60 };
-        let apps = if ctx.quick {
-            Some(vec![
-                "Twitter".to_string(),
-                "Tiktok".to_string(),
-                "Chrome".to_string(),
-                "CandyCrush".to_string(),
-            ])
-        } else {
-            None
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let secs = if ctx.quick { 20 } else { 60 };
+    let apps = if ctx.quick {
+        Some(vec![
+            "Twitter".to_string(),
+            "Tiktok".to_string(),
+            "Chrome".to_string(),
+            "CandyCrush".to_string(),
+        ])
+    } else {
+        None
+    };
+    let rows = fig14(ctx.seed, secs, apps)?;
+    let mut out = ExperimentOutput::new();
+    out.section(FIG14.title);
+    let mut t = Table::new(["Scheme", "Mean jank %", "Mean FPS", "Paper"]);
+    for (scheme, jank, fps) in scheme_means(&rows) {
+        let paper = match scheme.as_str() {
+            "Fleet" => "≈ Android; 19.9%/20.3% better than Marvin",
+            "Marvin" => "worst jank and FPS",
+            _ => "baseline",
         };
-        let rows = fig14(ctx.seed, secs, apps)?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t = Table::new(["Scheme", "Mean jank %", "Mean FPS", "Paper"]);
-        for (scheme, jank, fps) in scheme_means(&rows) {
-            let paper = match scheme.as_str() {
-                "Fleet" => "≈ Android; 19.9%/20.3% better than Marvin",
-                "Marvin" => "worst jank and FPS",
-                _ => "baseline",
-            };
-            t.row([scheme, format!("{jank:.1}"), format!("{fps:.1}"), paper.to_string()]);
-        }
-        out.table(t);
-        Ok(out)
+        t.row([scheme, format!("{jank:.1}"), format!("{fps:.1}"), paper.to_string()]);
     }
+    out.table(t);
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -73,52 +73,45 @@ pub fn average_reduction(rows: &[Fig12aRow]) -> f64 {
 
 /// Experiment `fig12`: 12a working-set table plus the 12b traces (the
 /// latter measured by [`access_trace::fig12b`]).
-pub struct Fig12;
+pub const FIG12: Experiment = Experiment {
+    id: "fig12",
+    title: "Figure 12 — background GC working set",
+    description: "Objects traced by background collections — the GC working set",
+    module: "gc_working_set",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Fig12 {
-    fn id(&self) -> &'static str {
-        "fig12"
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let mut out = ExperimentOutput::new();
+    out.section("Figure 12a — background GC working set (objects, real-scale)");
+    let rows = fig12a(ctx.seed)?;
+    out.export("fig12a", "≈7x working-set reduction", &rows);
+    let mut t = Table::new(["App", "Android", "Fleet w/o BGC", "Fleet w/ BGC", "Reduction"]);
+    for r in &rows {
+        t.row([
+            r.app.clone(),
+            r.android.to_string(),
+            r.fleet_without_bgc.to_string(),
+            r.fleet_with_bgc.to_string(),
+            format!("{:.1}x", r.android as f64 / r.fleet_with_bgc.max(1) as f64),
+        ]);
     }
-    fn title(&self) -> &'static str {
-        "Figure 12 — background GC working set"
-    }
-    fn description(&self) -> &'static str {
-        "Objects traced by background collections — the GC working set"
-    }
-    fn module(&self) -> &'static str {
-        "gc_working_set"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let mut out = ExperimentOutput::new();
-        out.section("Figure 12a — background GC working set (objects, real-scale)");
-        let rows = fig12a(ctx.seed)?;
-        out.export("fig12a", "≈7x working-set reduction", &rows);
-        let mut t = Table::new(["App", "Android", "Fleet w/o BGC", "Fleet w/ BGC", "Reduction"]);
-        for r in &rows {
-            t.row([
-                r.app.clone(),
-                r.android.to_string(),
-                r.fleet_without_bgc.to_string(),
-                r.fleet_with_bgc.to_string(),
-                format!("{:.1}x", r.android as f64 / r.fleet_with_bgc.max(1) as f64),
-            ]);
-        }
-        out.table(t);
+    out.table(t);
+    out.text(format!(
+        "average reduction {:.1}x   (paper: ≈7x, from ~7e5 to ~1e5 objects)",
+        average_reduction(&rows)
+    ));
+    out.section("Figure 12b — accessed objects over 600 s (Twitch), Android vs Fleet");
+    for result in access_trace::fig12b(ctx.seed)? {
+        let bg_gc = access_trace::gc_samples_in_window(&result, 190.0, 480.0);
         out.text(format!(
-            "average reduction {:.1}x   (paper: ≈7x, from ~7e5 to ~1e5 objects)",
-            average_reduction(&rows)
+            "{:>8}: GC-touched samples in the background window = {bg_gc}",
+            result.scheme
         ));
-        out.section("Figure 12b — accessed objects over 600 s (Twitch), Android vs Fleet");
-        for result in access_trace::fig12b(ctx.seed)? {
-            let bg_gc = access_trace::gc_samples_in_window(&result, 190.0, 480.0);
-            out.text(format!(
-                "{:>8}: GC-touched samples in the background window = {bg_gc}",
-                result.scheme
-            ));
-        }
-        out.text("paper shape: Fleet's background GC activity is an order of magnitude lower");
-        Ok(out)
     }
+    out.text("paper shape: Fleet's background GC activity is an order of magnitude lower");
+    Ok(out)
 }
 
 #[cfg(test)]

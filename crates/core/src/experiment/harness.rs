@@ -1,18 +1,21 @@
-//! The experiment harness: a uniform driver API and a parallel runner.
+//! The experiment harness: the table of experiments and a parallel runner.
 //!
-//! Every table and figure of the paper is an [`Experiment`]: a named unit
-//! that takes an [`ExperimentCtx`] (its derived seed and the quick/full
-//! switch) and returns an [`ExperimentOutput`] — render blocks for the
-//! terminal plus serialisable export artifacts. The [`REGISTRY`] lists all
-//! of them in paper order; [`select`] resolves user selectors (ids,
-//! aliases, module names, `fig1*` globs) against it; [`run_experiments`]
-//! executes a selection on a thread pool.
+//! Every table and figure of the paper is an [`Experiment`]: a row of
+//! constants (id, title, description, module, aliases) plus a driver
+//! function. The driver takes an [`ExperimentCtx`] (its derived seed and
+//! the quick/full switch) and returns an [`ExperimentOutput`] — render
+//! blocks for the terminal plus serialisable export artifacts — or the
+//! [`FleetError`] of the first simulator call that failed. The
+//! [`REGISTRY`] lists all of them in paper order; [`select`] resolves user
+//! selectors (ids, aliases, module names, `fig1*` globs) against it;
+//! [`run_experiments`] executes a selection on a thread pool.
 //!
-//! Determinism contract: each experiment's RNG seed is [`derive_seed`]d
-//! from the master seed and the experiment id, so a run's output depends
-//! only on `(master seed, id, quick)` — never on which other experiments
-//! run, in what order, or on how many threads. `tests/determinism.rs`
-//! pins the parallel/sequential equivalence down.
+//! Determinism contract: [`Experiment::ctx`] derives each experiment's RNG
+//! seed from the master seed and the experiment id, and every runner takes
+//! its context from there, so a run's output depends only on `(master
+//! seed, id, quick)` — never on which other experiments run, in what
+//! order, or on how many threads. `tests/determinism.rs` pins the
+//! parallel/sequential equivalence down.
 
 use crate::error::FleetError;
 use fleet_metrics::Table;
@@ -26,7 +29,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ExperimentCtx {
     /// This experiment's RNG seed, already derived from the master seed
-    /// and the experiment id (see [`derive_seed`]).
+    /// and the experiment id (see [`Experiment::ctx`]).
     pub seed: u64,
     /// Trade fidelity for speed: fewer launches, shorter usage windows.
     pub quick: bool,
@@ -34,7 +37,7 @@ pub struct ExperimentCtx {
     /// (already suffixed with the experiment id), or `None` when
     /// `--drilldown` was not given. Only telemetry-style experiments look
     /// at it.
-    pub drilldown: Option<std::path::PathBuf>,
+    pub drilldown: Option<PathBuf>,
 }
 
 impl ExperimentCtx {
@@ -160,58 +163,70 @@ impl ExperimentOutput {
 }
 
 /// One table or figure of the paper, runnable by id.
-pub trait Experiment: Sync {
+///
+/// Each driver module exports one `const` per experiment it renders (e.g.
+/// [`launch_basics::FIG2`](crate::experiment::launch_basics::FIG2)); the
+/// [`REGISTRY`] lists them all.
+#[derive(Debug)]
+pub struct Experiment {
     /// Canonical selector and export stem (e.g. "fig13").
-    fn id(&self) -> &'static str;
-    /// Human title printed by `repro --list`.
-    fn title(&self) -> &'static str;
+    pub id: &'static str,
+    /// Human title printed by `repro --list` and as the run's first section.
+    pub title: &'static str,
     /// One-line summary of what the experiment measures, printed under the
     /// title by `repro --list`.
-    fn description(&self) -> &'static str;
+    pub description: &'static str,
     /// The `experiment::` submodule this driver lives in; also a selector.
-    fn module(&self) -> &'static str;
+    pub module: &'static str,
     /// Extra selectors that resolve to this experiment (e.g. "fig15" for
     /// the fig13 experiment, which renders both).
-    fn aliases(&self) -> &'static [&'static str] {
-        &[]
+    pub aliases: &'static [&'static str],
+    /// Runs the experiment. It fails with the [`FleetError`] of the first
+    /// device or config call that did.
+    pub run: fn(&ExperimentCtx) -> Result<ExperimentOutput, FleetError>,
+}
+
+impl Experiment {
+    /// The context this experiment runs under for one sweep: its seed
+    /// derived from `master_seed` and the id, and its drill-down directory
+    /// `drilldown/<id>`.
+    pub fn ctx(&self, master_seed: u64, quick: bool, drilldown: Option<&Path>) -> ExperimentCtx {
+        ExperimentCtx {
+            seed: derive_seed(master_seed, self.id),
+            quick,
+            drilldown: drilldown.map(|d| d.join(self.id)),
+        }
     }
-    /// Runs the experiment.
-    ///
-    /// # Errors
-    ///
-    /// Drivers are infallible simulations today, but the signature leaves
-    /// room for config/export failures ([`FleetError`]).
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError>;
 }
 
 /// All experiments, in paper order. `repro all` runs exactly this list.
-pub static REGISTRY: &[&dyn Experiment] = &[
-    &crate::experiment::tables::Table1,
-    &crate::experiment::tables::Table2,
-    &crate::experiment::tables::Table3,
-    &crate::experiment::launch_basics::Fig2,
-    &crate::experiment::hot_launch::Fig3,
-    &crate::experiment::access_trace::Fig4,
-    &crate::experiment::lifetimes::Fig5,
-    &crate::experiment::reaccess::Fig6,
-    &crate::experiment::object_sizes::Fig7,
-    &crate::experiment::caching::Fig11,
-    &crate::experiment::gc_working_set::Fig12,
-    &crate::experiment::hot_launch::Fig13,
-    &crate::experiment::frames::Fig14,
-    &crate::experiment::runtime::CpuUsage,
-    &crate::experiment::runtime::Power,
-    &crate::experiment::runtime::MemoryOverhead,
-    &crate::experiment::sensitivity::Sensitivity,
-    &crate::experiment::scenario::Scenario,
-    &crate::experiment::ablation::Ablation,
-    &crate::experiment::resilience::Resilience,
-    &crate::experiment::chaos::Chaos,
-    &crate::experiment::attribution::LaunchAttribution,
-    &crate::experiment::swap_tiers::SwapTiers,
-    &crate::experiment::proactive_reclaim::ProactiveReclaim,
-    &crate::experiment::population::Population,
-    &crate::experiment::fleet_telemetry::FleetTelemetry,
+pub static REGISTRY: &[Experiment] = &[
+    crate::experiment::tables::TABLE1,
+    crate::experiment::tables::TABLE2,
+    crate::experiment::tables::TABLE3,
+    crate::experiment::launch_basics::FIG2,
+    crate::experiment::hot_launch::FIG3,
+    crate::experiment::access_trace::FIG4,
+    crate::experiment::lifetimes::FIG5,
+    crate::experiment::reaccess::FIG6,
+    crate::experiment::object_sizes::FIG7,
+    crate::experiment::caching::FIG11,
+    crate::experiment::gc_working_set::FIG12,
+    crate::experiment::hot_launch::FIG13,
+    crate::experiment::frames::FIG14,
+    crate::experiment::runtime::CPU,
+    crate::experiment::runtime::POWER,
+    crate::experiment::runtime::OVERHEAD,
+    crate::experiment::sensitivity::SENSITIVITY,
+    crate::experiment::scenario::SCENARIO,
+    crate::experiment::ablation::ABLATION,
+    crate::experiment::resilience::RESILIENCE,
+    crate::experiment::chaos::CHAOS,
+    crate::experiment::attribution::LAUNCH_ATTRIBUTION,
+    crate::experiment::swap_tiers::SWAP_TIERS,
+    crate::experiment::proactive_reclaim::PROACTIVE_RECLAIM,
+    crate::experiment::population::POPULATION,
+    crate::experiment::fleet_telemetry::FLEET_TELEMETRY,
 ];
 
 /// Derives an experiment's RNG seed from the master seed and its id.
@@ -219,7 +234,7 @@ pub static REGISTRY: &[&dyn Experiment] = &[
 /// FNV-1a over the id, mixed with the master seed through a splitmix64
 /// finaliser: stable across runs and platforms, and two experiments never
 /// share a stream even under the same master seed.
-pub fn derive_seed(master: u64, id: &str) -> u64 {
+fn derive_seed(master: u64, id: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in id.bytes() {
         h ^= byte as u64;
@@ -246,10 +261,8 @@ fn glob_match(pattern: &str, text: &str) -> bool {
     matches(pattern.as_bytes(), text.as_bytes())
 }
 
-fn selector_matches(selector: &str, exp: &dyn Experiment) -> bool {
-    let names = std::iter::once(exp.id())
-        .chain(std::iter::once(exp.module()))
-        .chain(exp.aliases().iter().copied());
+fn selector_matches(selector: &str, exp: &Experiment) -> bool {
+    let names = [exp.id, exp.module].into_iter().chain(exp.aliases.iter().copied());
     if selector.contains('*') || selector.contains('?') {
         names.into_iter().any(|n| glob_match(selector, n))
     } else {
@@ -267,25 +280,22 @@ fn selector_matches(selector: &str, exp: &dyn Experiment) -> bool {
 ///
 /// [`FleetError::UnknownExperiment`] for the first selector that matches
 /// nothing.
-pub fn select(selectors: &[String]) -> Result<Vec<&'static dyn Experiment>, FleetError> {
+pub fn select(selectors: &[String]) -> Result<Vec<&'static Experiment>, FleetError> {
     for sel in selectors {
-        if sel != "all" && !REGISTRY.iter().any(|e| selector_matches(sel, *e)) {
+        if sel != "all" && !REGISTRY.iter().any(|e| selector_matches(sel, e)) {
             return Err(FleetError::UnknownExperiment(sel.clone()));
         }
     }
     Ok(REGISTRY
         .iter()
-        .filter(|e| selectors.iter().any(|s| s == "all" || selector_matches(s, **e)))
-        .copied()
+        .filter(|e| selectors.iter().any(|s| s == "all" || selector_matches(s, e)))
         .collect())
 }
 
 /// The outcome of one experiment run.
 pub struct RunReport {
-    /// The experiment's id.
-    pub id: &'static str,
-    /// The experiment's title.
-    pub title: &'static str,
+    /// The experiment that ran.
+    pub experiment: &'static Experiment,
     /// Its output, or the error that stopped it.
     pub result: Result<ExperimentOutput, FleetError>,
     /// Wall-clock time the run took.
@@ -294,19 +304,17 @@ pub struct RunReport {
 
 /// Runs `selected` on up to `threads` worker threads.
 ///
-/// Each experiment gets its own seed via [`derive_seed`], so the reports —
+/// Each experiment runs under its own [`Experiment::ctx`], so the reports —
 /// returned in `selected` order — are identical whatever `threads` is.
 /// With `progress`, a `done <id> (<secs>)` line goes to stderr as each
 /// experiment finishes (completion order, the one place parallelism shows).
-/// A `drilldown` directory is forwarded to each experiment as
-/// `drilldown/<id>` (only telemetry-style experiments write there).
 pub fn run_experiments(
-    selected: &[&'static dyn Experiment],
+    selected: &[&'static Experiment],
     master_seed: u64,
     quick: bool,
     threads: usize,
     progress: bool,
-    drilldown: Option<&std::path::Path>,
+    drilldown: Option<&Path>,
 ) -> Vec<RunReport> {
     let threads = threads.clamp(1, selected.len().max(1));
     let next = AtomicUsize::new(0);
@@ -316,25 +324,21 @@ pub fn run_experiments(
         for _ in 0..threads {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(exp) = selected.get(i) else { break };
-                let ctx = ExperimentCtx {
-                    seed: derive_seed(master_seed, exp.id()),
-                    quick,
-                    drilldown: drilldown.map(|d| d.join(exp.id())),
-                };
+                let Some(&exp) = selected.get(i) else { break };
+                let ctx = exp.ctx(master_seed, quick, drilldown);
                 let start = Instant::now();
-                let result = exp.run(&ctx);
+                let result = (exp.run)(&ctx);
                 let elapsed = start.elapsed();
                 if progress {
                     eprintln!(
                         "done {:<12} ({:.1}s{})",
-                        exp.id(),
+                        exp.id,
                         elapsed.as_secs_f64(),
                         if result.is_err() { ", FAILED" } else { "" }
                     );
                 }
                 *slots[i].lock().expect("slot lock") =
-                    Some(RunReport { id: exp.id(), title: exp.title(), result, elapsed });
+                    Some(RunReport { experiment: exp, result, elapsed });
             });
         }
     });
@@ -350,39 +354,22 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    /// The compile-time list of `experiment::` submodules (minus the
-    /// harness itself). Kept literally in sync
-    /// with `mod.rs` so a new driver module cannot be forgotten here.
-    const DRIVER_MODULES: &[&str] = &[
-        "ablation",
-        "access_trace",
-        "attribution",
-        "caching",
-        "chaos",
-        "fleet_telemetry",
-        "frames",
-        "gc_working_set",
-        "hot_launch",
-        "launch_basics",
-        "lifetimes",
-        "object_sizes",
-        "population",
-        "proactive_reclaim",
-        "reaccess",
-        "resilience",
-        "runtime",
-        "scenario",
-        "sensitivity",
-        "swap_tiers",
-        "tables",
-    ];
+    /// The `experiment::` driver modules: every `pub mod` in `mod.rs` but
+    /// the harness itself, so a new driver module is named in one place.
+    fn driver_modules() -> BTreeSet<&'static str> {
+        include_str!("mod.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';'))
+            .filter(|&m| m != "harness")
+            .collect()
+    }
 
     #[test]
     fn registry_ids_and_aliases_are_unique() {
         let mut seen = BTreeSet::new();
         for exp in REGISTRY {
-            assert!(seen.insert(exp.id()), "duplicate id {}", exp.id());
-            for alias in exp.aliases() {
+            assert!(seen.insert(exp.id), "duplicate id {}", exp.id);
+            for alias in exp.aliases {
                 assert!(seen.insert(*alias), "alias {alias} collides");
             }
         }
@@ -391,28 +378,23 @@ mod tests {
     #[test]
     fn every_experiment_has_a_description() {
         for exp in REGISTRY {
-            let d = exp.description();
-            assert!(!d.trim().is_empty(), "{} has an empty description", exp.id());
-            assert!(!d.contains('\n'), "{} description must be one line", exp.id());
-            assert!(d.len() <= 90, "{} description too long for --list", exp.id());
+            let d = exp.description;
+            assert!(!d.trim().is_empty(), "{} has an empty description", exp.id);
+            assert!(!d.contains('\n'), "{} description must be one line", exp.id);
+            assert!(d.len() <= 90, "{} description too long for --list", exp.id);
         }
     }
 
     #[test]
     fn every_driver_module_is_registered() {
-        let registered: BTreeSet<&str> = REGISTRY.iter().map(|e| e.module()).collect();
-        for module in DRIVER_MODULES {
-            assert!(registered.contains(module), "module {module} has no experiment");
-        }
-        for module in &registered {
-            assert!(DRIVER_MODULES.contains(module), "unknown module {module}");
-        }
+        let registered: BTreeSet<&str> = REGISTRY.iter().map(|e| e.module).collect();
+        assert_eq!(registered, driver_modules());
     }
 
     #[test]
     fn selectors_resolve_ids_aliases_modules_and_globs() {
         let ids = |sel: &str| -> Vec<&str> {
-            select(&[sel.to_string()]).unwrap().iter().map(|e| e.id()).collect()
+            select(&[sel.to_string()]).unwrap().iter().map(|e| e.id).collect()
         };
         assert_eq!(ids("fig13"), ["fig13"]);
         assert_eq!(ids("fig15"), ["fig13"], "alias resolves to its experiment");
@@ -421,7 +403,7 @@ mod tests {
         assert_eq!(select(&["all".into()]).unwrap().len(), REGISTRY.len());
         // Dedup + registry order even with overlapping, shuffled selectors.
         let both = select(&["fig13".into(), "fig2".into(), "hot_launch".into()]).unwrap();
-        let got: Vec<&str> = both.iter().map(|e| e.id()).collect();
+        let got: Vec<&str> = both.iter().map(|e| e.id).collect();
         assert_eq!(got, ["fig2", "fig3", "fig13"]);
         assert!(matches!(
             select(&["fig99".into()]),
@@ -465,7 +447,7 @@ mod tests {
         assert_ne!(derive_seed(7, "fig13"), derive_seed(8, "fig13"));
         let mut seeds = BTreeSet::new();
         for exp in REGISTRY {
-            assert!(seeds.insert(derive_seed(0xF1EE7, exp.id())), "seed collision");
+            assert!(seeds.insert(derive_seed(0xF1EE7, exp.id)), "seed collision");
         }
     }
 

@@ -12,7 +12,7 @@ use crate::experiment::harness::{Experiment, ExperimentCtx, ExperimentOutput};
 use crate::experiment::scenario::{fig13_apps, fig16_apps, AppPool};
 use crate::params::SchemeKind;
 use fleet_apps::profile_by_name;
-use fleet_metrics::{correlation, Cdf, Summary, Table};
+use fleet_metrics::{correlation, Summary, Table};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -148,164 +148,145 @@ pub fn geomean_speedup(rows: &[SpeedupRow], vs_marvin: bool) -> f64 {
 }
 
 /// Experiment `fig3`.
-pub struct Fig3;
+pub const FIG3: Experiment = Experiment {
+    id: "fig3",
+    title: "Figure 3 — 90th-percentile tail hot-launch (motivation)",
+    description: "Tail (p90) hot-launch latency as the cached-app count grows",
+    module: "hot_launch",
+    aliases: &[],
+    run: run_fig3,
+};
 
-impl Experiment for Fig3 {
-    fn id(&self) -> &'static str {
-        "fig3"
+fn run_fig3(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let data = fig3(ctx.seed, ctx.launches().min(10))?;
+    let mut out = ExperimentOutput::new();
+    out.section(FIG3.title);
+    let mut t = Table::new(["App", "w/o swap p90", "w/ swap p90", "Marvin p90 (ms)"]);
+    let apps: Vec<String> = data[0].per_app_ms.keys().cloned().collect();
+    for app in &apps {
+        t.row([
+            app.clone(),
+            format!("{:.0}", data[0].summary(app).p90()),
+            format!("{:.0}", data[1].summary(app).p90()),
+            format!("{:.0}", data[2].summary(app).p90()),
+        ]);
     }
-    fn title(&self) -> &'static str {
-        "Figure 3 — 90th-percentile tail hot-launch (motivation)"
-    }
-    fn description(&self) -> &'static str {
-        "Tail (p90) hot-launch latency as the cached-app count grows"
-    }
-    fn module(&self) -> &'static str {
-        "hot_launch"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let data = fig3(ctx.seed, ctx.launches().min(10))?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t = Table::new(["App", "w/o swap p90", "w/ swap p90", "Marvin p90 (ms)"]);
-        let apps: Vec<String> = data[0].per_app_ms.keys().cloned().collect();
-        for app in &apps {
-            t.row([
-                app.clone(),
-                format!("{:.0}", data[0].summary(app).p90()),
-                format!("{:.0}", data[1].summary(app).p90()),
-                format!("{:.0}", data[2].summary(app).p90()),
-            ]);
-        }
-        out.table(t);
-        let agg = |d: &HotLaunchData| {
-            Summary::from_values(d.per_app_ms.values().flatten().copied()).p90()
-        };
-        out.text(format!(
-            "aggregate p90: no-swap {:.0} ms, swap {:.0} ms, Marvin {:.0} ms   \
-             (paper: both swap and Marvin deteriorate tails, e.g. Instagram 147→1027 ms)",
-            agg(&data[0]),
-            agg(&data[1]),
-            agg(&data[2])
-        ));
-        Ok(out)
-    }
+    out.table(t);
+    let agg =
+        |d: &HotLaunchData| Summary::from_values(d.per_app_ms.values().flatten().copied()).p90();
+    out.text(format!(
+        "aggregate p90: no-swap {:.0} ms, swap {:.0} ms, Marvin {:.0} ms   \
+         (paper: both swap and Marvin deteriorate tails, e.g. Instagram 147→1027 ms)",
+        agg(&data[0]),
+        agg(&data[1]),
+        agg(&data[2])
+    ));
+    Ok(out)
 }
 
 /// Experiment `fig13`: the §7.2 headline, rendering Figures 13 (medians,
 /// 13m geomean, 13n correlation), 15 (other percentiles), the 13a–l CDF
 /// summaries and Figure 16 (the remaining six apps) from one measured data
 /// set — hence the `fig15`/`fig16`/`cdf` aliases.
-pub struct Fig13;
+pub const FIG13: Experiment = Experiment {
+    id: "fig13",
+    title: "Figure 13/15/16 — hot-launch under memory pressure",
+    description: "Hot-launch latency per app and scheme under the §7.2 pressure protocol",
+    module: "hot_launch",
+    aliases: &["fig15", "fig16", "cdf"],
+    run: run_fig13,
+};
 
-impl Experiment for Fig13 {
-    fn id(&self) -> &'static str {
-        "fig13"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 13/15/16 — hot-launch under memory pressure"
-    }
-    fn description(&self) -> &'static str {
-        "Hot-launch latency per app and scheme under the §7.2 pressure protocol"
-    }
-    fn module(&self) -> &'static str {
-        "hot_launch"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig15", "fig16", "cdf"]
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let data = fig13(ctx.seed, ctx.launches())?;
-        let mut out = ExperimentOutput::new();
+fn run_fig13(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let data = fig13(ctx.seed, ctx.launches())?;
+    let mut out = ExperimentOutput::new();
 
-        out.section("Figure 13 — hot-launch under memory pressure (Android / Marvin / Fleet)");
-        out.export("fig13", "Fleet 1.59x vs Android, 2.62x vs Marvin (medians)", &data);
-        let median_rows = speedups_at(&data, 50.0);
-        let mut t = Table::new([
-            "App",
-            "Android p50",
-            "Marvin p50",
-            "Fleet p50",
-            "vs Android",
-            "vs Marvin",
-            "Java heap %",
+    out.section("Figure 13 — hot-launch under memory pressure (Android / Marvin / Fleet)");
+    out.export("fig13", "Fleet 1.59x vs Android, 2.62x vs Marvin (medians)", &data);
+    let median_rows = speedups_at(&data, 50.0);
+    let mut t = Table::new([
+        "App",
+        "Android p50",
+        "Marvin p50",
+        "Fleet p50",
+        "vs Android",
+        "vs Marvin",
+        "Java heap %",
+    ]);
+    for r in &median_rows {
+        t.row([
+            r.app.clone(),
+            format!("{:.0} ms", r.android_ms),
+            format!("{:.0} ms", r.marvin_ms),
+            format!("{:.0} ms", r.fleet_ms),
+            format!("{:.2}x", r.speedup_vs_android),
+            format!("{:.2}x", r.speedup_vs_marvin),
+            format!("{:.0}", r.java_heap_pct),
         ]);
-        for r in &median_rows {
-            t.row([
-                r.app.clone(),
-                format!("{:.0} ms", r.android_ms),
-                format!("{:.0} ms", r.marvin_ms),
-                format!("{:.0} ms", r.fleet_ms),
-                format!("{:.2}x", r.speedup_vs_android),
-                format!("{:.2}x", r.speedup_vs_marvin),
-                format!("{:.0}", r.java_heap_pct),
-            ]);
-        }
-        out.table(t);
-        out.text(format!(
-            "13m geomean median speedup: {:.2}x vs Android (paper 1.59x), {:.2}x vs Marvin (paper 2.62x)",
-            geomean_speedup(&median_rows, false),
-            geomean_speedup(&median_rows, true)
-        ));
-        let corr = correlation(
-            &median_rows.iter().map(|r| r.java_heap_pct).collect::<Vec<_>>(),
-            &median_rows.iter().map(|r| r.speedup_vs_android).collect::<Vec<_>>(),
-        );
-        out.text(format!(
-            "13n correlation(speedup, java-heap %): {corr:.2}   (paper: positive correlation)"
-        ));
+    }
+    out.table(t);
+    out.text(format!(
+        "13m geomean median speedup: {:.2}x vs Android (paper 1.59x), {:.2}x vs Marvin (paper 2.62x)",
+        geomean_speedup(&median_rows, false),
+        geomean_speedup(&median_rows, true)
+    ));
+    let corr = correlation(
+        &median_rows.iter().map(|r| r.java_heap_pct).collect::<Vec<_>>(),
+        &median_rows.iter().map(|r| r.speedup_vs_android).collect::<Vec<_>>(),
+    );
+    out.text(format!(
+        "13n correlation(speedup, java-heap %): {corr:.2}   (paper: positive correlation)"
+    ));
 
-        out.section("Figure 15 — speedup at the 90th/10th percentile and the mean");
-        for (label, p, paper) in
-            [("90th", 90.0, "2.56x vs Android, 4.45x vs Marvin"), ("10th", 10.0, "modest")]
-        {
-            let rows = speedups_at(&data, p);
-            out.text(format!(
-                "{label} percentile: {:.2}x vs Android, {:.2}x vs Marvin   (paper: {paper})",
-                geomean_speedup(&rows, false),
-                geomean_speedup(&rows, true)
-            ));
-        }
-        let rows = mean_speedups(&data);
+    out.section("Figure 15 — speedup at the 90th/10th percentile and the mean");
+    for (label, p, paper) in
+        [("90th", 90.0, "2.56x vs Android, 4.45x vs Marvin"), ("10th", 10.0, "modest")]
+    {
+        let rows = speedups_at(&data, p);
         out.text(format!(
-            "mean: {:.2}x vs Android, {:.2}x vs Marvin",
+            "{label} percentile: {:.2}x vs Android, {:.2}x vs Marvin   (paper: {paper})",
             geomean_speedup(&rows, false),
             geomean_speedup(&rows, true)
         ));
-
-        out.section("Figure 13a–l — hot-launch CDF curves (10-point summaries)");
-        for scheme in &data {
-            for (app, samples) in &scheme.per_app_ms {
-                let cdf = Cdf::from_values(samples.iter().copied());
-                let curve: Vec<String> = cdf
-                    .curve(10)
-                    .into_iter()
-                    .map(|(ms, frac)| format!("{:.0}ms:{:.0}%", ms, 100.0 * frac))
-                    .collect();
-                out.text(format!("{:>8} {:<12} {}", scheme.scheme, app, curve.join(" ")));
-            }
-        }
-
-        out.section("Figure 16 — remaining six apps (CDF summary)");
-        let mut t = Table::new(["App", "Scheme", "p10", "p50", "p90 (ms)"]);
-        for app in fig16_apps() {
-            for d in &data {
-                let s = d.summary(&app);
-                t.row([
-                    app.clone(),
-                    d.scheme.clone(),
-                    format!("{:.0}", s.p10()),
-                    format!("{:.0}", s.median()),
-                    format!("{:.0}", s.p90()),
-                ]);
-            }
-        }
-        out.table(t);
-        out.text(
-            "paper note: Candy Crush (4% Java heap) sees little benefit — Fleet targets the Java heap",
-        );
-        Ok(out)
     }
+    let rows = mean_speedups(&data);
+    out.text(format!(
+        "mean: {:.2}x vs Android, {:.2}x vs Marvin",
+        geomean_speedup(&rows, false),
+        geomean_speedup(&rows, true)
+    ));
+
+    out.section("Figure 13a–l — hot-launch CDF curves (10-point summaries)");
+    for scheme in &data {
+        for (app, samples) in &scheme.per_app_ms {
+            let curve: Vec<String> = Summary::from_values(samples.iter().copied())
+                .cdf_curve(10)
+                .into_iter()
+                .map(|(ms, frac)| format!("{:.0}ms:{:.0}%", ms, 100.0 * frac))
+                .collect();
+            out.text(format!("{:>8} {:<12} {}", scheme.scheme, app, curve.join(" ")));
+        }
+    }
+
+    out.section("Figure 16 — remaining six apps (CDF summary)");
+    let mut t = Table::new(["App", "Scheme", "p10", "p50", "p90 (ms)"]);
+    for app in fig16_apps() {
+        for d in &data {
+            let s = d.summary(&app);
+            t.row([
+                app.clone(),
+                d.scheme.clone(),
+                format!("{:.0}", s.p10()),
+                format!("{:.0}", s.median()),
+                format!("{:.0}", s.p90()),
+            ]);
+        }
+    }
+    out.table(t);
+    out.text(
+        "paper note: Candy Crush (4% Java heap) sees little benefit — Fleet targets the Java heap",
+    );
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -108,45 +108,38 @@ pub fn fig2_configured(
 }
 
 /// Experiment `fig2`.
-pub struct Fig2;
+pub const FIG2: Experiment = Experiment {
+    id: "fig2",
+    title: "Figure 2 — hot vs cold launch times (idle device)",
+    description: "Per-app hot and cold launch latency on an otherwise idle device",
+    module: "launch_basics",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Fig2 {
-    fn id(&self) -> &'static str {
-        "fig2"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 2 — hot vs cold launch times (idle device)"
-    }
-    fn description(&self) -> &'static str {
-        "Per-app hot and cold launch latency on an otherwise idle device"
-    }
-    fn module(&self) -> &'static str {
-        "launch_basics"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let rows = fig2(ctx.seed, ctx.launches().min(10))?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        out.export("fig2", "hot ≪ cold; Twitter 273 vs 2390 ms", &rows);
-        let mut t = Table::new([
-            "App",
-            "Hot (ms)",
-            "Cold (ms)",
-            "Cold/Hot",
-            "Paper (hot/cold, Twitter: 273/2390)",
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let rows = fig2(ctx.seed, ctx.launches().min(10))?;
+    let mut out = ExperimentOutput::new();
+    out.section(FIG2.title);
+    out.export("fig2", "hot ≪ cold; Twitter 273 vs 2390 ms", &rows);
+    let mut t = Table::new([
+        "App",
+        "Hot (ms)",
+        "Cold (ms)",
+        "Cold/Hot",
+        "Paper (hot/cold, Twitter: 273/2390)",
+    ]);
+    for r in &rows {
+        t.row([
+            r.app.clone(),
+            format!("{:.0} ± {:.0}", r.hot_mean_ms, r.hot_std_ms),
+            format!("{:.0} ± {:.0}", r.cold_mean_ms, r.cold_std_ms),
+            format!("{:.1}x", r.cold_mean_ms / r.hot_mean_ms),
+            "hot ≪ cold for every app".to_string(),
         ]);
-        for r in &rows {
-            t.row([
-                r.app.clone(),
-                format!("{:.0} ± {:.0}", r.hot_mean_ms, r.hot_std_ms),
-                format!("{:.0} ± {:.0}", r.cold_mean_ms, r.cold_std_ms),
-                format!("{:.1}x", r.cold_mean_ms / r.hot_mean_ms),
-                "hot ≪ cold for every app".to_string(),
-            ]);
-        }
-        out.table(t);
-        Ok(out)
     }
+    out.table(t);
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -123,50 +123,43 @@ pub fn fig5(seed: u64, cycles: u32) -> Result<Fig5Result, FleetError> {
 }
 
 /// Experiment `fig5`.
-pub struct Fig5;
+pub const FIG5: Experiment = Experiment {
+    id: "fig5",
+    title: "Figure 5 — FGO/BGO lifetimes and footprints",
+    description: "Lifetimes and heap footprints of foreground- vs background-allocated objects",
+    module: "lifetimes",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Fig5 {
-    fn id(&self) -> &'static str {
-        "fig5"
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let result = fig5(ctx.seed, 15)?;
+    let mut out = ExperimentOutput::new();
+    out.section(FIG5.title);
+    out.text(format!(
+        "5a FGO alive after 15 GCs: {:.0}%   (paper: > 40%)",
+        result.fgo_lifetime.overflow_percent()
+    ));
+    out.text(format!(
+        "5b BGO alive after 15 GCs: {:.0}%   (paper: most BGO die within the first few GCs)",
+        result.bgo_lifetime.overflow_percent()
+    ));
+    let bgo_early: u64 = (0..3).map(|c| result.bgo_lifetime.count(c)).sum();
+    out.text(format!(
+        "5b BGO dying within 3 GCs: {:.0}%",
+        100.0 * bgo_early as f64 / result.bgo_lifetime.total().max(1) as f64
+    ));
+    let mut t = Table::new(["App", "FGO (MB)", "BGO (MB)", "Paper: FGO occupy the majority"]);
+    for row in &result.footprints {
+        t.row([
+            row.app.clone(),
+            format!("{:.1}", row.fgo_mb),
+            format!("{:.2}", row.bgo_mb),
+            String::new(),
+        ]);
     }
-    fn title(&self) -> &'static str {
-        "Figure 5 — FGO/BGO lifetimes and footprints"
-    }
-    fn description(&self) -> &'static str {
-        "Lifetimes and heap footprints of foreground- vs background-allocated objects"
-    }
-    fn module(&self) -> &'static str {
-        "lifetimes"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let result = fig5(ctx.seed, 15)?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        out.text(format!(
-            "5a FGO alive after 15 GCs: {:.0}%   (paper: > 40%)",
-            result.fgo_lifetime.overflow_percent()
-        ));
-        out.text(format!(
-            "5b BGO alive after 15 GCs: {:.0}%   (paper: most BGO die within the first few GCs)",
-            result.bgo_lifetime.overflow_percent()
-        ));
-        let bgo_early: u64 = (0..3).map(|c| result.bgo_lifetime.count(c)).sum();
-        out.text(format!(
-            "5b BGO dying within 3 GCs: {:.0}%",
-            100.0 * bgo_early as f64 / result.bgo_lifetime.total().max(1) as f64
-        ));
-        let mut t = Table::new(["App", "FGO (MB)", "BGO (MB)", "Paper: FGO occupy the majority"]);
-        for row in &result.footprints {
-            t.row([
-                row.app.clone(),
-                format!("{:.1}", row.fgo_mb),
-                format!("{:.2}", row.bgo_mb),
-                String::new(),
-            ]);
-        }
-        out.table(t);
-        Ok(out)
-    }
+    out.table(t);
+    Ok(out)
 }
 
 #[cfg(test)]

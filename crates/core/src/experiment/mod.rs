@@ -1,10 +1,11 @@
 //! One experiment driver per table and figure of the paper's evaluation.
 //!
-//! Each submodule returns plain serde-serialisable records and registers
-//! an [`harness::Experiment`] that renders them next to the paper's
-//! reported values; the `fleet-bench` crate's `repro` binary is a thin CLI
-//! over [`harness::REGISTRY`]. DESIGN.md §4 is the index mapping each
-//! figure/table to its experiment id.
+//! Each submodule returns plain serde-serialisable records and exports one
+//! [`harness::Experiment`] const per experiment that renders them next to
+//! the paper's reported values; the `fleet-bench` crate's `repro` binary is
+//! a thin CLI over [`harness::REGISTRY`], which lists those consts.
+//! DESIGN.md §4 is the index mapping each figure/table to its experiment
+//! id.
 
 pub mod ablation;
 pub mod access_trace;

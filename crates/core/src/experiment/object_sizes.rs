@@ -56,37 +56,30 @@ pub fn fig7(seed: u64, n: usize) -> Vec<Fig7Row> {
 }
 
 /// Experiment `fig7`.
-pub struct Fig7;
+pub const FIG7: Experiment = Experiment {
+    id: "fig7",
+    title: "Figure 7 — object-size distribution (CDF %)",
+    description: "Cumulative object-size distribution across the app heaps",
+    module: "object_sizes",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Fig7 {
-    fn id(&self) -> &'static str {
-        "fig7"
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let rows = fig7(ctx.seed, if ctx.quick { 20_000 } else { 50_000 });
+    let mut out = ExperimentOutput::new();
+    out.section(FIG7.title);
+    let mut head = vec!["Size (B)".to_string()];
+    head.extend(rows.iter().map(|r| r.app.clone()));
+    let mut t = Table::new(head);
+    for (i, &(size, _)) in rows[0].cdf.iter().enumerate() {
+        let mut cells = vec![size.to_string()];
+        cells.extend(rows.iter().map(|r| format!("{:.0}", r.cdf[i].1)));
+        t.row(cells);
     }
-    fn title(&self) -> &'static str {
-        "Figure 7 — object-size distribution (CDF %)"
-    }
-    fn description(&self) -> &'static str {
-        "Cumulative object-size distribution across the app heaps"
-    }
-    fn module(&self) -> &'static str {
-        "object_sizes"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let rows = fig7(ctx.seed, if ctx.quick { 20_000 } else { 50_000 });
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut head = vec!["Size (B)".to_string()];
-        head.extend(rows.iter().map(|r| r.app.clone()));
-        let mut t = Table::new(head);
-        for (i, &(size, _)) in rows[0].cdf.iter().enumerate() {
-            let mut cells = vec![size.to_string()];
-            cells.extend(rows.iter().map(|r| format!("{:.0}", r.cdf[i].1)));
-            t.row(cells);
-        }
-        out.table(t);
-        out.text("paper shape: the vast majority of objects are far below the 4096 B page size");
-        Ok(out)
-    }
+    out.table(t);
+    out.text("paper shape: the vast majority of objects are far below the 4096 B page size");
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -171,87 +171,78 @@ fn publish_obs(agg: &PopulationAggregate) {
 }
 
 /// Experiment `population`.
-pub struct Population;
+pub const POPULATION: Experiment = Experiment {
+    id: "population",
+    title: "Extension — population-scale cohort simulation",
+    description:
+        "Cohort dashboard: hot-launch p50/p99/p999, kill rate, writeback across sampled devices",
+    module: "population",
+    aliases: &["cohort"],
+    run,
+};
 
-impl Experiment for Population {
-    fn id(&self) -> &'static str {
-        "population"
-    }
-    fn title(&self) -> &'static str {
-        "Extension — population-scale cohort simulation"
-    }
-    fn description(&self) -> &'static str {
-        "Cohort dashboard: hot-launch p50/p99/p999, kill rate, writeback across sampled devices"
-    }
-    fn module(&self) -> &'static str {
-        "population"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["cohort"]
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let devices = cohort_devices(ctx.quick);
-        let spec = PopulationSpec::default_mix(ctx.seed, devices);
-        // The A/B arm: same seed, same sampled hardware and day scripts
-        // (the policy knobs are applied, never sampled), Swam co-design on.
-        let mut swam_spec = spec.clone();
-        swam_spec.reclaim_policy = ReclaimPolicy::swam();
-        swam_spec.kill_policy = KillPolicy::WssWeighted;
-        // run_population drops to one inline worker by itself when an
-        // audit/obs pipeline is installed (repro --trace), so the trace is
-        // never silently empty under parallelism.
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let run = run_population(&spec, threads)?;
-        let agg = &run.aggregate;
-        let swam_run = run_population(&swam_spec, threads)?;
-        let policies =
-            vec![policy_summary("reactive", agg), policy_summary("swam", &swam_run.aggregate)];
-        #[cfg(feature = "obs")]
-        publish_obs(agg);
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let devices = cohort_devices(ctx.quick);
+    let spec = PopulationSpec::default_mix(ctx.seed, devices);
+    // The A/B arm: same seed, same sampled hardware and day scripts
+    // (the policy knobs are applied, never sampled), Swam co-design on.
+    let mut swam_spec = spec.clone();
+    swam_spec.reclaim_policy = ReclaimPolicy::swam();
+    swam_spec.kill_policy = KillPolicy::WssWeighted;
+    // run_population drops to one inline worker by itself when an
+    // audit/obs pipeline is installed (repro --trace), so the trace is
+    // never silently empty under parallelism.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let run = run_population(&spec, threads)?;
+    let agg = &run.aggregate;
+    let swam_run = run_population(&swam_spec, threads)?;
+    let policies =
+        vec![policy_summary("reactive", agg), policy_summary("swam", &swam_run.aggregate)];
+    #[cfg(feature = "obs")]
+    publish_obs(agg);
 
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        out.table(dashboard(agg));
-        out.text(
-            "Reclaim-policy A/B over the same sampled cohort (Swam arm: proactive \
-             reclaim + WSS-weighted oom scoring):"
-                .to_string(),
-        );
-        out.table(policy_table(&policies));
-        out.text(format!(
-            "{} device-days sampled from {} classes x {} personas x {} schemes \
-             (seed {:#x}); {} zram devices; cohort hash {:016x}",
-            agg.devices,
-            spec.classes.len(),
-            spec.personas.len(),
-            spec.schemes.len(),
-            spec.seed,
-            agg.zram_devices,
-            agg.cohort_hash,
-        ));
-        out.text(format!(
-            "{:.1} simulated device-hours in {} run-slices of {} devices; \
-             throughput headline lives in fleet-bench (BENCH_kernel.json, population row)",
-            agg.device_hours(),
-            agg.slices.len(),
-            agg.slice_len,
-        ));
-        out.export(
-            "population",
-            "n/a (extension; SWAM-style cohort dashboard, PAPERS.md)",
-            &PopulationExport {
-                seed: spec.seed,
-                devices,
-                hot_p50_ms: agg.hot_launch_quantile_ms(0.5),
-                hot_p99_ms: agg.hot_launch_quantile_ms(0.99),
-                hot_p999_ms: agg.hot_launch_quantile_ms(0.999),
-                lmk_kills_per_device_day: agg.lmk_kills_per_device_day(),
-                policies,
-                aggregate: agg.clone(),
-            },
-        );
-        Ok(out)
-    }
+    let mut out = ExperimentOutput::new();
+    out.section(POPULATION.title);
+    out.table(dashboard(agg));
+    out.text(
+        "Reclaim-policy A/B over the same sampled cohort (Swam arm: proactive \
+         reclaim + WSS-weighted oom scoring):"
+            .to_string(),
+    );
+    out.table(policy_table(&policies));
+    out.text(format!(
+        "{} device-days sampled from {} classes x {} personas x {} schemes \
+         (seed {:#x}); {} zram devices; cohort hash {:016x}",
+        agg.devices,
+        spec.classes.len(),
+        spec.personas.len(),
+        spec.schemes.len(),
+        spec.seed,
+        agg.zram_devices,
+        agg.cohort_hash,
+    ));
+    out.text(format!(
+        "{:.1} simulated device-hours in {} run-slices of {} devices; \
+         throughput headline lives in fleet-bench (BENCH_kernel.json, population row)",
+        agg.device_hours(),
+        agg.slices.len(),
+        agg.slice_len,
+    ));
+    out.export(
+        "population",
+        "n/a (extension; SWAM-style cohort dashboard, PAPERS.md)",
+        &PopulationExport {
+            seed: spec.seed,
+            devices,
+            hot_p50_ms: agg.hot_launch_quantile_ms(0.5),
+            hot_p99_ms: agg.hot_launch_quantile_ms(0.99),
+            hot_p999_ms: agg.hot_launch_quantile_ms(0.999),
+            lmk_kills_per_device_day: agg.lmk_kills_per_device_day(),
+            policies,
+            aggregate: agg.clone(),
+        },
+    );
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -161,70 +161,61 @@ pub fn measure_reclaim(
 }
 
 /// Experiment `proactive_reclaim`.
-pub struct ProactiveReclaim;
+pub const PROACTIVE_RECLAIM: Experiment = Experiment {
+    id: "proactive_reclaim",
+    title: "Extension — proactive reclaim + OOMK co-design (Reactive vs Swam)",
+    description:
+        "Responsiveness-vs-kill-rate tradeoff curves per reclaim policy, scheme and pressure",
+    module: "proactive_reclaim",
+    aliases: &["swam", "reclaim"],
+    run,
+};
 
-impl Experiment for ProactiveReclaim {
-    fn id(&self) -> &'static str {
-        "proactive_reclaim"
-    }
-    fn title(&self) -> &'static str {
-        "Extension — proactive reclaim + OOMK co-design (Reactive vs Swam)"
-    }
-    fn description(&self) -> &'static str {
-        "Responsiveness-vs-kill-rate tradeoff curves per reclaim policy, scheme and pressure"
-    }
-    fn module(&self) -> &'static str {
-        "proactive_reclaim"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["swam", "reclaim"]
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let cycles = if ctx.quick { 2 } else { 6 };
-        let schemes = [SchemeKind::Android, SchemeKind::Marvin, SchemeKind::Fleet];
-        let rows = measure_reclaim(ctx.seed, &schemes, cycles)?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t = Table::new([
-            "Scheme",
-            "Pressure",
-            "Policy",
-            "Hot p50 (ms)",
-            "Hot p99 (ms)",
-            "Kills/day",
-            "Cold relaunches",
-            "Proactive pages",
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let cycles = if ctx.quick { 2 } else { 6 };
+    let schemes = [SchemeKind::Android, SchemeKind::Marvin, SchemeKind::Fleet];
+    let rows = measure_reclaim(ctx.seed, &schemes, cycles)?;
+    let mut out = ExperimentOutput::new();
+    out.section(PROACTIVE_RECLAIM.title);
+    let mut t = Table::new([
+        "Scheme",
+        "Pressure",
+        "Policy",
+        "Hot p50 (ms)",
+        "Hot p99 (ms)",
+        "Kills/day",
+        "Cold relaunches",
+        "Proactive pages",
+    ]);
+    for r in &rows {
+        t.row([
+            r.scheme.clone(),
+            r.pressure.clone(),
+            r.policy.clone(),
+            format!("{:.0}", r.hot_p50_ms),
+            format!("{:.0}", r.hot_p99_ms),
+            format!("{:.2}", r.kills_per_device_day),
+            r.cold_relaunches.to_string(),
+            r.proactive_swapout_pages.to_string(),
         ]);
-        for r in &rows {
-            t.row([
-                r.scheme.clone(),
-                r.pressure.clone(),
-                r.policy.clone(),
-                format!("{:.0}", r.hot_p50_ms),
-                format!("{:.0}", r.hot_p99_ms),
-                format!("{:.2}", r.kills_per_device_day),
-                r.cold_relaunches.to_string(),
-                r.proactive_swapout_pages.to_string(),
-            ]);
-        }
-        out.table(t);
-        out.text(
-            "swam = working-set tracking + proactive swap-out of idle background apps \
-             (dynamic swap target) + WSS-weighted oom scoring; reactive = the legacy \
-             watermark-driven stack, bit-identical to the pre-ReclaimPolicy event streams",
-        );
-        out.text(
-            "expectation: under pressure, swam drains idle apps' cold pages ahead of the \
-             watermark, so fewer launches find the device below the kill threshold",
-        );
-        out.export(
-            "proactive_reclaim",
-            "n/a (extension; expectation: swam kills strictly fewer at equal-or-better p99 \
-             on at least one pressure level)",
-            &rows,
-        );
-        Ok(out)
     }
+    out.table(t);
+    out.text(
+        "swam = working-set tracking + proactive swap-out of idle background apps \
+         (dynamic swap target) + WSS-weighted oom scoring; reactive = the legacy \
+         watermark-driven stack, bit-identical to the pre-ReclaimPolicy event streams",
+    );
+    out.text(
+        "expectation: under pressure, swam drains idle apps' cold pages ahead of the \
+         watermark, so fewer launches find the device below the kill threshold",
+    );
+    out.export(
+        "proactive_reclaim",
+        "n/a (extension; expectation: swam kills strictly fewer at equal-or-better p99 \
+         on at least one pressure level)",
+        &rows,
+    );
+    Ok(out)
 }
 
 #[cfg(test)]

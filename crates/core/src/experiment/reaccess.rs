@@ -146,56 +146,47 @@ pub fn fig6b(seed: u64, max_depth: u32) -> Vec<Fig6bPoint> {
 }
 
 /// Experiment `fig6` (6a shares and footprints; 6b depth sweep).
-pub struct Fig6;
+pub const FIG6: Experiment = Experiment {
+    id: "fig6",
+    title: "Figure 6 — NRO/FYO re-access shares and the depth sweep",
+    description: "Re-access shares of backgrounded objects and the grouping-depth sweep",
+    module: "reaccess",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Fig6 {
-    fn id(&self) -> &'static str {
-        "fig6"
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let mut out = ExperimentOutput::new();
+    out.section("Figure 6a — NRO/FYO re-access shares and footprints");
+    let rows = fig6a(ctx.seed);
+    let mut t =
+        Table::new(["App", "NRO %", "FYO %", "Both %", "NRO mem %", "FYO mem %", "Both mem %"]);
+    for r in &rows {
+        t.row([
+            r.app.clone(),
+            format!("{:.0}", r.nro_share_pct),
+            format!("{:.0}", r.fyo_share_pct),
+            format!("{:.0}", r.both_share_pct),
+            format!("{:.1}", r.nro_mem_pct),
+            format!("{:.1}", r.fyo_mem_pct),
+            format!("{:.1}", r.both_mem_pct),
+        ]);
     }
-    fn title(&self) -> &'static str {
-        "Figure 6 — NRO/FYO re-access shares and the depth sweep"
+    out.table(t);
+    out.text("paper averages: NRO ≈50%, FYO ≈40%, both ≈68% of re-accesses for ≈15.5% of memory");
+    out.section("Figure 6b — NRO depth sweep (Twitter)");
+    let points = fig6b(ctx.seed, 14);
+    let mut t = Table::new(["Depth D", "Re-access coverage %", "Memory footprint %"]);
+    for p in &points {
+        t.row([
+            p.depth.to_string(),
+            format!("{:.0}", p.reaccess_coverage_pct),
+            format!("{:.1}", p.mem_footprint_pct),
+        ]);
     }
-    fn description(&self) -> &'static str {
-        "Re-access shares of backgrounded objects and the grouping-depth sweep"
-    }
-    fn module(&self) -> &'static str {
-        "reaccess"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let mut out = ExperimentOutput::new();
-        out.section("Figure 6a — NRO/FYO re-access shares and footprints");
-        let rows = fig6a(ctx.seed);
-        let mut t =
-            Table::new(["App", "NRO %", "FYO %", "Both %", "NRO mem %", "FYO mem %", "Both mem %"]);
-        for r in &rows {
-            t.row([
-                r.app.clone(),
-                format!("{:.0}", r.nro_share_pct),
-                format!("{:.0}", r.fyo_share_pct),
-                format!("{:.0}", r.both_share_pct),
-                format!("{:.1}", r.nro_mem_pct),
-                format!("{:.1}", r.fyo_mem_pct),
-                format!("{:.1}", r.both_mem_pct),
-            ]);
-        }
-        out.table(t);
-        out.text(
-            "paper averages: NRO ≈50%, FYO ≈40%, both ≈68% of re-accesses for ≈15.5% of memory",
-        );
-        out.section("Figure 6b — NRO depth sweep (Twitter)");
-        let points = fig6b(ctx.seed, 14);
-        let mut t = Table::new(["Depth D", "Re-access coverage %", "Memory footprint %"]);
-        for p in &points {
-            t.row([
-                p.depth.to_string(),
-                format!("{:.0}", p.reaccess_coverage_pct),
-                format!("{:.1}", p.mem_footprint_pct),
-            ]);
-        }
-        out.table(t);
-        out.text("paper shape: coverage rises much faster than footprint at small D");
-        Ok(out)
-    }
+    out.table(t);
+    out.text("paper shape: coverage rises much faster than footprint at small D");
+    Ok(out)
 }
 
 #[cfg(test)]

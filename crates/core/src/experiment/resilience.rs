@@ -107,65 +107,58 @@ pub fn standard_intensities() -> Vec<f64> {
 }
 
 /// Experiment `resilience`.
-pub struct Resilience;
+pub const RESILIENCE: Experiment = Experiment {
+    id: "resilience",
+    title: "DESIGN.md §9 — hot-launch degradation under injected swap faults",
+    description: "Launch tails and graceful-degradation counters under injected swap faults",
+    module: "resilience",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Resilience {
-    fn id(&self) -> &'static str {
-        "resilience"
-    }
-    fn title(&self) -> &'static str {
-        "DESIGN.md §9 — hot-launch degradation under injected swap faults"
-    }
-    fn description(&self) -> &'static str {
-        "Launch tails and graceful-degradation counters under injected swap faults"
-    }
-    fn module(&self) -> &'static str {
-        "resilience"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let launches = if ctx.quick { 4 } else { 10 };
-        let rows = resilience(ctx.seed, &standard_intensities(), launches)?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t = Table::new([
-            "Intensity",
-            "Hot launches",
-            "Failed",
-            "Median (ms)",
-            "p99 (ms)",
-            "Retries",
-            "Read errs",
-            "Lost pages",
-            "SIGBUS",
-            "LMK kills",
-            "Evac aborts",
-            "OOM skips",
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let launches = if ctx.quick { 4 } else { 10 };
+    let rows = resilience(ctx.seed, &standard_intensities(), launches)?;
+    let mut out = ExperimentOutput::new();
+    out.section(RESILIENCE.title);
+    let mut t = Table::new([
+        "Intensity",
+        "Hot launches",
+        "Failed",
+        "Median (ms)",
+        "p99 (ms)",
+        "Retries",
+        "Read errs",
+        "Lost pages",
+        "SIGBUS",
+        "LMK kills",
+        "Evac aborts",
+        "OOM skips",
+    ]);
+    for r in &rows {
+        t.row([
+            format!("{:.2}", r.intensity),
+            r.launches.to_string(),
+            r.failed_launches.to_string(),
+            format!("{:.0}", r.median_hot_ms),
+            format!("{:.0}", r.p99_hot_ms),
+            r.fault_retries.to_string(),
+            r.swap_read_errors.to_string(),
+            r.pages_lost.to_string(),
+            r.sigbus_kills.to_string(),
+            r.lmk_kills.to_string(),
+            r.evac_aborts.to_string(),
+            r.oom_touch_skips.to_string(),
         ]);
-        for r in &rows {
-            t.row([
-                format!("{:.2}", r.intensity),
-                r.launches.to_string(),
-                r.failed_launches.to_string(),
-                format!("{:.0}", r.median_hot_ms),
-                format!("{:.0}", r.p99_hot_ms),
-                r.fault_retries.to_string(),
-                r.swap_read_errors.to_string(),
-                r.pages_lost.to_string(),
-                r.sigbus_kills.to_string(),
-                r.lmk_kills.to_string(),
-                r.evac_aborts.to_string(),
-                r.oom_touch_skips.to_string(),
-            ]);
-        }
-        out.table(t);
-        out.text(
-            "intensity 0 is the quiet plan (bit-identical to a fault-free run); \
-             transients are absorbed by bounded retries, permanents degrade to \
-             refaults or SIGBUS kills — never a panic",
-        );
-        out.export("resilience", "n/a (robustness study, not a paper figure)", &rows);
-        Ok(out)
     }
+    out.table(t);
+    out.text(
+        "intensity 0 is the quiet plan (bit-identical to a fault-free run); \
+         transients are absorbed by bounded retries, permanents degrade to \
+         refaults or SIGBUS kills — never a panic",
+    );
+    out.export("resilience", "n/a (robustness study, not a paper figure)", &rows);
+    Ok(out)
 }
 
 #[cfg(test)]

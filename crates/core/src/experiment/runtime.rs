@@ -134,111 +134,89 @@ pub fn memory_overhead() -> OverheadReport {
 }
 
 /// Experiment `cpu`.
-pub struct CpuUsage;
+pub const CPU: Experiment = Experiment {
+    id: "cpu",
+    title: "§7.3 — CPU usage",
+    description: "GC and kernel CPU seconds consumed per scheme over the protocol",
+    module: "runtime",
+    aliases: &[],
+    run: run_cpu,
+};
 
-impl Experiment for CpuUsage {
-    fn id(&self) -> &'static str {
-        "cpu"
+fn run_cpu(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let rows = cpu_usage(ctx.seed, if ctx.quick { 2 } else { 4 })?;
+    let mut out = ExperimentOutput::new();
+    out.section(CPU.title);
+    let mut t = Table::new(["Scheme", "Total CPU (s)", "GC share %", "Kernel share %"]);
+    for r in &rows {
+        t.row([
+            r.scheme.clone(),
+            format!("{:.2}", r.total_cpu_s),
+            format!("{:.2}", r.gc_share_pct),
+            format!("{:.2}", r.kernel_share_pct),
+        ]);
     }
-    fn title(&self) -> &'static str {
-        "§7.3 — CPU usage"
-    }
-    fn description(&self) -> &'static str {
-        "GC and kernel CPU seconds consumed per scheme over the protocol"
-    }
-    fn module(&self) -> &'static str {
-        "runtime"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let rows = cpu_usage(ctx.seed, if ctx.quick { 2 } else { 4 })?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t = Table::new(["Scheme", "Total CPU (s)", "GC share %", "Kernel share %"]);
-        for r in &rows {
-            t.row([
-                r.scheme.clone(),
-                format!("{:.2}", r.total_cpu_s),
-                format!("{:.2}", r.gc_share_pct),
-                format!("{:.2}", r.kernel_share_pct),
-            ]);
-        }
-        out.table(t);
-        let get = |name: &str| {
-            rows.iter().find(|r| r.scheme == name).map(|r| r.total_cpu_s).unwrap_or(0.0)
-        };
-        out.text(format!(
-            "Fleet vs Android: {:+.2}%   (paper: +0.18%);  Fleet vs Marvin: {:+.2}%   (paper: −3.21%)",
-            100.0 * (get("Fleet") - get("Android")) / get("Android"),
-            100.0 * (get("Fleet") - get("Marvin")) / get("Marvin"),
-        ));
-        Ok(out)
-    }
+    out.table(t);
+    let get =
+        |name: &str| rows.iter().find(|r| r.scheme == name).map(|r| r.total_cpu_s).unwrap_or(0.0);
+    out.text(format!(
+        "Fleet vs Android: {:+.2}%   (paper: +0.18%);  Fleet vs Marvin: {:+.2}%   (paper: −3.21%)",
+        100.0 * (get("Fleet") - get("Android")) / get("Android"),
+        100.0 * (get("Fleet") - get("Marvin")) / get("Marvin"),
+    ));
+    Ok(out)
 }
 
 /// Experiment `power`.
-pub struct Power;
+pub const POWER: Experiment = Experiment {
+    id: "power",
+    title: "§7.3 — power consumption",
+    description: "Energy proxy derived from CPU time and swap I/O per scheme",
+    module: "runtime",
+    aliases: &[],
+    run: run_power,
+};
 
-impl Experiment for Power {
-    fn id(&self) -> &'static str {
-        "power"
+fn run_power(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let rows = power(ctx.seed, if ctx.quick { 1 } else { 2 })?;
+    let mut out = ExperimentOutput::new();
+    out.section(POWER.title);
+    let mut t = Table::new(["Scheme", "Average (mW)", "CPU (mW)", "Swap (mW)", "Paper"]);
+    for r in &rows {
+        let paper = if r.scheme == "Fleet" { "1851 ± 143 mW" } else { "1817 ± 197 mW" };
+        t.row([
+            r.scheme.clone(),
+            format!("{:.0}", r.average_mw),
+            format!("{:.0}", r.cpu_mw),
+            format!("{:.0}", r.swap_mw),
+            paper.to_string(),
+        ]);
     }
-    fn title(&self) -> &'static str {
-        "§7.3 — power consumption"
-    }
-    fn description(&self) -> &'static str {
-        "Energy proxy derived from CPU time and swap I/O per scheme"
-    }
-    fn module(&self) -> &'static str {
-        "runtime"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let rows = power(ctx.seed, if ctx.quick { 1 } else { 2 })?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t = Table::new(["Scheme", "Average (mW)", "CPU (mW)", "Swap (mW)", "Paper"]);
-        for r in &rows {
-            let paper = if r.scheme == "Fleet" { "1851 ± 143 mW" } else { "1817 ± 197 mW" };
-            t.row([
-                r.scheme.clone(),
-                format!("{:.0}", r.average_mw),
-                format!("{:.0}", r.cpu_mw),
-                format!("{:.0}", r.swap_mw),
-                paper.to_string(),
-            ]);
-        }
-        out.table(t);
-        out.text("paper: equal within the standard error");
-        Ok(out)
-    }
+    out.table(t);
+    out.text("paper: equal within the standard error");
+    Ok(out)
 }
 
 /// Experiment `overhead`.
-pub struct MemoryOverhead;
+pub const OVERHEAD: Experiment = Experiment {
+    id: "overhead",
+    title: "§7.3 — memory overhead (card table)",
+    description: "Card-table and scheme metadata overhead relative to heap size",
+    module: "runtime",
+    aliases: &[],
+    run: run_overhead,
+};
 
-impl Experiment for MemoryOverhead {
-    fn id(&self) -> &'static str {
-        "overhead"
-    }
-    fn title(&self) -> &'static str {
-        "§7.3 — memory overhead (card table)"
-    }
-    fn description(&self) -> &'static str {
-        "Card-table and scheme metadata overhead relative to heap size"
-    }
-    fn module(&self) -> &'static str {
-        "runtime"
-    }
-    fn run(&self, _ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let report = memory_overhead();
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        out.text(format!(
-            "card table for a 4 GiB heap: {} MiB   (paper: 4 MB, fixed, ∝ heap size)",
-            report.card_table_bytes_per_4gib / (1024 * 1024)
-        ));
-        out.text(format!("bytes of card table per heap byte: {:.6}", report.bytes_per_heap_byte));
-        Ok(out)
-    }
+fn run_overhead(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let report = memory_overhead();
+    let mut out = ExperimentOutput::new();
+    out.section(OVERHEAD.title);
+    out.text(format!(
+        "card table for a 4 GiB heap: {} MiB   (paper: 4 MB, fixed, ∝ heap size)",
+        report.card_table_bytes_per_4gib / (1024 * 1024)
+    ));
+    out.text(format!("bytes of card table per heap byte: {:.6}", report.bytes_per_heap_byte));
+    Ok(out)
 }
 
 #[cfg(test)]

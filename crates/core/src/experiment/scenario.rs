@@ -247,44 +247,36 @@ impl AppPool {
 /// Experiment `scenario`: a compact health check of the §7.2 pressure
 /// protocol itself — per scheme, how much pressure the pool builds (cached
 /// apps, LMK kills) and what a probe app's hot launch costs under it.
-pub struct Scenario;
+pub const SCENARIO: Experiment = Experiment {
+    id: "scenario",
+    title: "§7.2 protocol — app pool under memory pressure",
+    description: "End-to-end pressure-protocol walkthrough with per-phase device stats",
+    module: "scenario",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Scenario {
-    fn id(&self) -> &'static str {
-        "scenario"
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let launches = if ctx.quick { 3 } else { 6 };
+    let mut out = ExperimentOutput::new();
+    out.section(SCENARIO.title);
+    let mut t =
+        Table::new(["Scheme", "Cached apps", "LMK kills", "Twitter hot p50 (ms)", "Hot hits"]);
+    for scheme in [SchemeKind::Android, SchemeKind::Marvin, SchemeKind::Fleet] {
+        let mut pool = AppPool::under_pressure(scheme, &fig13_apps(), ctx.seed)?;
+        let reports = pool.measure_hot_launches("Twitter", launches)?;
+        let median = Summary::from_values(reports.iter().map(|r| r.total.as_millis_f64())).median();
+        t.row([
+            scheme.to_string(),
+            pool.device().cached_apps().to_string(),
+            pool.device().kills().len().to_string(),
+            format!("{median:.0}"),
+            format!("{}/{launches}", reports.len()),
+        ]);
     }
-    fn title(&self) -> &'static str {
-        "§7.2 protocol — app pool under memory pressure"
-    }
-    fn description(&self) -> &'static str {
-        "End-to-end pressure-protocol walkthrough with per-phase device stats"
-    }
-    fn module(&self) -> &'static str {
-        "scenario"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let launches = if ctx.quick { 3 } else { 6 };
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t =
-            Table::new(["Scheme", "Cached apps", "LMK kills", "Twitter hot p50 (ms)", "Hot hits"]);
-        for scheme in [SchemeKind::Android, SchemeKind::Marvin, SchemeKind::Fleet] {
-            let mut pool = AppPool::under_pressure(scheme, &fig13_apps(), ctx.seed)?;
-            let reports = pool.measure_hot_launches("Twitter", launches)?;
-            let median =
-                Summary::from_values(reports.iter().map(|r| r.total.as_millis_f64())).median();
-            t.row([
-                scheme.to_string(),
-                pool.device().cached_apps().to_string(),
-                pool.device().kills().len().to_string(),
-                format!("{median:.0}"),
-                format!("{}/{launches}", reports.len()),
-            ]);
-        }
-        out.table(t);
-        out.text("paper protocol: ~10 background apps, 30 s of other-app usage between launches");
-        Ok(out)
-    }
+    out.table(t);
+    out.text("paper protocol: ~10 background apps, 30 s of other-app usage between launches");
+    Ok(out)
 }
 
 #[cfg(test)]

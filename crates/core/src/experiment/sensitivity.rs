@@ -68,41 +68,34 @@ pub fn sensitivity(
 }
 
 /// Experiment `sensitivity`.
-pub struct Sensitivity;
+pub const SENSITIVITY: Experiment = Experiment {
+    id: "sensitivity",
+    title: "§7.4 — sensitivity to the background heap-size factor",
+    description: "Hot-launch sensitivity to the background heap-growth factor",
+    module: "sensitivity",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for Sensitivity {
-    fn id(&self) -> &'static str {
-        "sensitivity"
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let rows =
+        sensitivity(ctx.seed, if ctx.quick { 14 } else { 24 }, if ctx.quick { 4 } else { 8 })?;
+    let mut out = ExperimentOutput::new();
+    out.section(SENSITIVITY.title);
+    let mut t = Table::new(["Scheme", "Factor", "Max cached", "Median hot (ms)"]);
+    for r in &rows {
+        t.row([
+            r.scheme.clone(),
+            format!("{:.1}", r.factor),
+            r.max_cached.to_string(),
+            format!("{:.0}", r.median_hot_ms),
+        ]);
     }
-    fn title(&self) -> &'static str {
-        "§7.4 — sensitivity to the background heap-size factor"
-    }
-    fn description(&self) -> &'static str {
-        "Hot-launch sensitivity to the background heap-growth factor"
-    }
-    fn module(&self) -> &'static str {
-        "sensitivity"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let rows =
-            sensitivity(ctx.seed, if ctx.quick { 14 } else { 24 }, if ctx.quick { 4 } else { 8 })?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t = Table::new(["Scheme", "Factor", "Max cached", "Median hot (ms)"]);
-        for r in &rows {
-            t.row([
-                r.scheme.clone(),
-                format!("{:.1}", r.factor),
-                r.max_cached.to_string(),
-                format!("{:.0}", r.median_hot_ms),
-            ]);
-        }
-        out.table(t);
-        out.text(
-            "paper: Fleet's caching gain needs 1.1x; Fleet's launch time is robust across factors, Android's varies ≈31%",
-        );
-        Ok(out)
-    }
+    out.table(t);
+    out.text(
+        "paper: Fleet's caching gain needs 1.1x; Fleet's launch time is robust across factors, Android's varies ≈31%",
+    );
+    Ok(out)
 }
 
 #[cfg(test)]

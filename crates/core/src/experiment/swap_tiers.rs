@@ -147,65 +147,58 @@ pub fn measure_tiers(
 }
 
 /// Experiment `swap_tiers`.
-pub struct SwapTiers;
+pub const SWAP_TIERS: Experiment = Experiment {
+    id: "swap_tiers",
+    title: "Extension — tiered compressed swap (flash / zram / hybrid)",
+    description: "Hot-launch latency and tier traffic across swap backends per scheme",
+    module: "swap_tiers",
+    aliases: &[],
+    run,
+};
 
-impl Experiment for SwapTiers {
-    fn id(&self) -> &'static str {
-        "swap_tiers"
-    }
-    fn title(&self) -> &'static str {
-        "Extension — tiered compressed swap (flash / zram / hybrid)"
-    }
-    fn description(&self) -> &'static str {
-        "Hot-launch latency and tier traffic across swap backends per scheme"
-    }
-    fn module(&self) -> &'static str {
-        "swap_tiers"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let launches = if ctx.quick { 3 } else { 8 };
-        let schemes = [SchemeKind::Android, SchemeKind::Marvin, SchemeKind::Fleet];
-        let rows = measure_tiers(ctx.seed, &schemes, launches)?;
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        let mut t = Table::new([
-            "Scheme",
-            "Backend",
-            "Hot p50 (ms)",
-            "Hot p90 (ms)",
-            "Decompress (ms)",
-            "Zram faults",
-            "Writeback",
-            "Fall-through",
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let launches = if ctx.quick { 3 } else { 8 };
+    let schemes = [SchemeKind::Android, SchemeKind::Marvin, SchemeKind::Fleet];
+    let rows = measure_tiers(ctx.seed, &schemes, launches)?;
+    let mut out = ExperimentOutput::new();
+    out.section(SWAP_TIERS.title);
+    let mut t = Table::new([
+        "Scheme",
+        "Backend",
+        "Hot p50 (ms)",
+        "Hot p90 (ms)",
+        "Decompress (ms)",
+        "Zram faults",
+        "Writeback",
+        "Fall-through",
+    ]);
+    for r in &rows {
+        t.row([
+            r.scheme.clone(),
+            r.tier.clone(),
+            format!("{:.0}", r.median_ms),
+            format!("{:.0}", r.p90_ms),
+            format!("{:.1}", r.decompress_ms),
+            r.faults_zram.to_string(),
+            r.writeback_pages.to_string(),
+            r.fallthrough_pages.to_string(),
         ]);
-        for r in &rows {
-            t.row([
-                r.scheme.clone(),
-                r.tier.clone(),
-                format!("{:.0}", r.median_ms),
-                format!("{:.0}", r.p90_ms),
-                format!("{:.1}", r.decompress_ms),
-                r.faults_zram.to_string(),
-                r.writeback_pages.to_string(),
-                r.fallthrough_pages.to_string(),
-            ]);
-        }
-        out.table(t);
-        out.text(
-            "hybrid = 512 MiB zram front (2.5x) with writeback ahead of the 2 GiB flash \
-             partition; warm victims land in zram, cold and incompressible ones in flash",
-        );
-        out.text(
-            "under `repro --trace` the zram share of a launch shows up as a `decompress` \
-             span nested in `fault_in`",
-        );
-        out.export(
-            "swap_tiers",
-            "n/a (extension; expectation: zram-only < hybrid < flash-only medians)",
-            &rows,
-        );
-        Ok(out)
     }
+    out.table(t);
+    out.text(
+        "hybrid = 512 MiB zram front (2.5x) with writeback ahead of the 2 GiB flash \
+         partition; warm victims land in zram, cold and incompressible ones in flash",
+    );
+    out.text(
+        "under `repro --trace` the zram share of a launch shows up as a `decompress` \
+         span nested in `fault_in`",
+    );
+    out.export(
+        "swap_tiers",
+        "n/a (extension; expectation: zram-only < hybrid < flash-only medians)",
+        &rows,
+    );
+    Ok(out)
 }
 
 #[cfg(test)]

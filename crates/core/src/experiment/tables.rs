@@ -62,76 +62,55 @@ pub fn table3() -> Table {
 }
 
 /// Experiment `table1`.
-pub struct Table1;
+pub const TABLE1: Experiment = Experiment {
+    id: "table1",
+    title: "Table 1 — comparison methods",
+    description: "Qualitative side-by-side of the Android, Marvin, and Fleet mechanisms",
+    module: "tables",
+    aliases: &[],
+    run: run_table1,
+};
 
-impl Experiment for Table1 {
-    fn id(&self) -> &'static str {
-        "table1"
-    }
-    fn title(&self) -> &'static str {
-        "Table 1 — comparison methods"
-    }
-    fn description(&self) -> &'static str {
-        "Qualitative side-by-side of the Android, Marvin, and Fleet mechanisms"
-    }
-    fn module(&self) -> &'static str {
-        "tables"
-    }
-    fn run(&self, _ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        out.table(table1());
-        Ok(out)
-    }
+fn run_table1(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let mut out = ExperimentOutput::new();
+    out.section(TABLE1.title);
+    out.table(table1());
+    Ok(out)
 }
 
 /// Experiment `table2`.
-pub struct Table2;
+pub const TABLE2: Experiment = Experiment {
+    id: "table2",
+    title: "Table 2 — Fleet's default parameters",
+    description: "Fleet's Ts/Tf, grouping depth, and region parameters",
+    module: "tables",
+    aliases: &[],
+    run: run_table2,
+};
 
-impl Experiment for Table2 {
-    fn id(&self) -> &'static str {
-        "table2"
-    }
-    fn title(&self) -> &'static str {
-        "Table 2 — Fleet's default parameters"
-    }
-    fn description(&self) -> &'static str {
-        "Fleet's Ts/Tf, grouping depth, and region parameters"
-    }
-    fn module(&self) -> &'static str {
-        "tables"
-    }
-    fn run(&self, _ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        out.table(table2());
-        out.text(TF_NOTE);
-        Ok(out)
-    }
+fn run_table2(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let mut out = ExperimentOutput::new();
+    out.section(TABLE2.title);
+    out.table(table2());
+    out.text(TF_NOTE);
+    Ok(out)
 }
 
 /// Experiment `table3`.
-pub struct Table3;
+pub const TABLE3: Experiment = Experiment {
+    id: "table3",
+    title: "Table 3 — commercial apps for evaluation",
+    description: "The simulated app profiles standing in for the paper's app set",
+    module: "tables",
+    aliases: &[],
+    run: run_table3,
+};
 
-impl Experiment for Table3 {
-    fn id(&self) -> &'static str {
-        "table3"
-    }
-    fn title(&self) -> &'static str {
-        "Table 3 — commercial apps for evaluation"
-    }
-    fn description(&self) -> &'static str {
-        "The simulated app profiles standing in for the paper's app set"
-    }
-    fn module(&self) -> &'static str {
-        "tables"
-    }
-    fn run(&self, _ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
-        let mut out = ExperimentOutput::new();
-        out.section(self.title());
-        out.table(table3());
-        Ok(out)
-    }
+fn run_table3(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, FleetError> {
+    let mut out = ExperimentOutput::new();
+    out.section(TABLE3.title);
+    out.table(table3());
+    Ok(out)
 }
 
 #[cfg(test)]

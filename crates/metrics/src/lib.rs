@@ -20,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cdf;
 pub mod cpu;
 pub mod frames;
 pub mod histogram;
@@ -30,7 +29,6 @@ pub mod stats;
 pub mod summary;
 pub mod table;
 
-pub use cdf::Cdf;
 pub use cpu::{CpuAccounting, ThreadClass};
 pub use frames::{FrameRecorder, FrameReport};
 pub use histogram::Histogram;

@@ -1,8 +1,10 @@
-//! Summary statistics over a sample: mean, standard deviation, percentiles.
+//! Summary statistics over a sample: mean, standard deviation, percentiles
+//! and the empirical CDF.
 //!
 //! The paper characterises hot-launch behaviour by the 10th, 50th and 90th
-//! percentiles plus mean ± standard deviation (Figure 15); [`Summary`] is the
-//! one-stop type the experiment drivers hand their launch samples to.
+//! percentiles plus mean ± standard deviation (Figure 15), and plots
+//! hot-launch CDFs per app and scheme (Figures 13 and 16); [`Summary`] is
+//! the one-stop type the experiment drivers hand their launch samples to.
 
 use serde::{Deserialize, Serialize};
 
@@ -117,6 +119,36 @@ impl Summary {
         self.percentile(99.0)
     }
 
+    /// Fraction of samples `<= x`, in `[0, 1]`: the empirical CDF at `x`.
+    /// Returns 0 for an empty sample.
+    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
+        if self.sorted.is_empty() {
+            return 0.0;
+        }
+        let count = self.sorted.partition_point(|&v| v <= x);
+        count as f64 / self.sorted.len() as f64
+    }
+
+    /// Renders the empirical CDF as `points` evenly spaced `(value,
+    /// fraction)` pairs.
+    ///
+    /// The first point is the sample minimum, the last the maximum.
+    pub fn cdf_curve(&self, points: usize) -> Vec<(f64, f64)> {
+        if self.sorted.is_empty() || points == 0 {
+            return Vec::new();
+        }
+        let (lo, hi) = (self.min(), self.max());
+        if points == 1 || hi == lo {
+            return vec![(hi, 1.0)];
+        }
+        (0..points)
+            .map(|i| {
+                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
+                (x, self.fraction_at_or_below(x))
+            })
+            .collect()
+    }
+
     /// The sorted samples.
     pub fn values(&self) -> &[f64] {
         &self.sorted
@@ -189,5 +221,37 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn percentile_out_of_range_panics() {
         Summary::from_values([1.0]).percentile(101.0);
+    }
+
+    #[test]
+    fn empty_cdf() {
+        let s = Summary::from_values(std::iter::empty());
+        assert!(s.is_empty());
+        assert_eq!(s.fraction_at_or_below(10.0), 0.0);
+        assert!(s.cdf_curve(10).is_empty());
+    }
+
+    #[test]
+    fn fractions_step_at_samples() {
+        let s = Summary::from_values([1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(s.fraction_at_or_below(0.5), 0.0);
+        assert_eq!(s.fraction_at_or_below(1.0), 0.25);
+        assert_eq!(s.fraction_at_or_below(2.9), 0.5);
+        assert_eq!(s.fraction_at_or_below(4.0), 1.0);
+        assert_eq!(s.fraction_at_or_below(9.0), 1.0);
+    }
+
+    #[test]
+    fn curve_spans_sample_range() {
+        let curve = Summary::from_values([0.0, 100.0]).cdf_curve(5);
+        assert_eq!(curve.len(), 5);
+        assert_eq!(curve[0], (0.0, 0.5));
+        assert_eq!(curve[4], (100.0, 1.0));
+    }
+
+    #[test]
+    fn degenerate_curve_collapses() {
+        let s = Summary::from_values([7.0, 7.0, 7.0]);
+        assert_eq!(s.cdf_curve(10), vec![(7.0, 1.0)]);
     }
 }

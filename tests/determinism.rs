@@ -169,7 +169,7 @@ fn harness_fingerprint(threads: usize) -> String {
     let mut fp = String::new();
     for report in reports {
         let output = report.result.expect("experiment runs");
-        fp.push_str(report.id);
+        fp.push_str(report.experiment.id);
         fp.push_str(&output.render());
         for artifact in &output.exports {
             fp.push_str(&serde_json::to_string_pretty(artifact).expect("export serialises"));

@@ -19,7 +19,7 @@
 //! ```
 #![cfg(any(feature = "audit", feature = "obs"))]
 
-use fleet::experiment::harness::{derive_seed, ExperimentCtx, REGISTRY};
+use fleet::experiment::harness::REGISTRY;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -38,11 +38,10 @@ fn golden_path(file: &str) -> PathBuf {
 /// Runs `id` from the registry in quick mode at its golden seed, under
 /// whatever pipelines the caller installed; returns the seed.
 fn run_golden(id: &str) -> u64 {
-    let exp = REGISTRY.iter().find(|e| e.id() == id).expect("golden id must be in REGISTRY");
-    let seed = derive_seed(MASTER_SEED, id);
-    let ctx = ExperimentCtx { seed, quick: true, drilldown: None };
-    exp.run(&ctx).expect("golden experiment must run");
-    seed
+    let exp = REGISTRY.iter().find(|e| e.id == id).expect("golden id must be in REGISTRY");
+    let ctx = exp.ctx(MASTER_SEED, true, None);
+    (exp.run)(&ctx).expect("golden experiment must run");
+    ctx.seed
 }
 
 /// Compares `rendered` with the golden file at `path`, or rewrites the file
